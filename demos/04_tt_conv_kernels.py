@@ -4,7 +4,8 @@ The naive route runs TT-SVD on the raw (l, l, C, S) kernel.  The better route
 flattens the kernel to its (l*l*C, S) matrix, factorizes the channel counts,
 and decomposes the resulting higher-order tensor; on kernels with channel
 structure it reaches the same error with far fewer parameters.  The forward
-pass contracts the cores against the image directly.
+pass rebuilds the kernel matrix from the cores and multiplies the image
+patches by it.
 """
 
 import numpy as np
@@ -55,7 +56,7 @@ for r in (1, 2, 4, 8, 16):
     )
 
 # ----------------------------------------------------------------------
-# Forward pass without materializing the kernel
+# Forward pass: patches times the kernel matrix rebuilt from the cores
 # ----------------------------------------------------------------------
 x = rng.standard_normal((10, 10, 16))
 y_tt = ttconv_forward(x, proposed)

@@ -7,8 +7,9 @@ The package provides, bottom up:
 - ``conv``: dense valid convolution and its im2col/GEMM reformulation;
 - ``kernels``: TT-convolutional kernels (the reshaped higher-order
   decomposition and the naive 4-mode baseline);
-- ``nn``: layers with hand-written gradients, SGD with momentum, gradient
-  checking, and a training loop;
+- ``nn``: layers computing image patches times a weight matrix, with
+  hand-written gradients, SGD with momentum, gradient checking, and a
+  training loop;
 - ``data``: a synthetic stripes-vs-blobs image dataset;
 - ``io``: binary tensor containers (.ten, .tt, .ttm, .ttcv);
 - ``cli``: the ``ttconv`` command-line tool.

@@ -48,21 +48,44 @@ def conv2d_direct(x, k) -> np.ndarray:
     return out
 
 
+def im2col_batch(xb, ell: int) -> np.ndarray:
+    """Patch matrix of a B x W x H x C batch, of shape (B*W'*H', l*l*C).
+
+    Row ``(b*W' + x)*H' + y`` holds the patch of image b at pixel (x, y);
+    columns are ordered as in im2col.
+    """
+    xb = np.asarray(xb, dtype=np.float64)
+    if xb.ndim != 4:
+        raise ShapeError(f"batch input must be B x W x H x C, got {xb.ndim} dimensions")
+    b, w, h, c = xb.shape
+    if ell > min(w, h):
+        raise ShapeError(f"filter size {ell} exceeds input dims ({w}, {h})")
+    wins = sliding_window_view(xb, (ell, ell), axis=(1, 2))  # (B, W', H', C, i, j)
+    cols = np.ascontiguousarray(wins.transpose(0, 1, 2, 3, 5, 4))
+    return cols.reshape(b * (w - ell + 1) * (h - ell + 1), ell * ell * c)
+
+
+def col2im_batch(dcols, ell: int, in_shape) -> np.ndarray:
+    """Adjoint of im2col_batch: sum patch-matrix rows back onto a batch of shape in_shape."""
+    b, w, h, c = in_shape
+    wo, ho = w - ell + 1, h - ell + 1
+    dwin = dcols.reshape(b, wo, ho, c, ell, ell)  # (..., j, i)
+    dx = np.zeros(in_shape)
+    for i in range(ell):
+        for j in range(ell):
+            dx[:, i : i + wo, j : j + ho, :] += dwin[:, :, :, :, j, i]
+    return dx
+
+
 def im2col(x, ell: int) -> np.ndarray:
     """Patch matrix of shape (W'H', l*l*C); row k holds the patch for pixel k."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"input must be W x H x C, got {x.ndim} dimensions")
-    if ell > min(x.shape[0], x.shape[1]):
-        raise ShapeError(f"filter size {ell} exceeds input dims {x.shape[:2]}")
+    cols = im2col_batch(x[None], ell)
+    # batch rows run y fastest; here row = x + wo*y (x fastest)
     wo = x.shape[0] - ell + 1
-    ho = x.shape[1] - ell + 1
-    c = x.shape[2]
-    patches = sliding_window_view(x, (ell, ell), axis=(0, 1))  # (wo, ho, c, i, j)
-    # row = x + wo*y (x fastest), col = i + l*j + l*l*c (i fastest)
-    return np.ascontiguousarray(patches.transpose(1, 0, 2, 4, 3)).reshape(
-        wo * ho, ell * ell * c
-    )
+    return cols.reshape(wo, -1, cols.shape[1]).transpose(1, 0, 2).reshape(-1, cols.shape[1])
 
 
 def kernel_to_matrix(k) -> np.ndarray:
@@ -88,13 +111,10 @@ def matrix_to_kernel(mat, ell: int, channels: int) -> np.ndarray:
 
 
 def conv2d_gemm(x, k) -> np.ndarray:
-    """Convolution as one matrix product: im2col(x) @ kernel_to_matrix(k)."""
+    """Convolution as one matrix product of patches and kernel_to_matrix(k)."""
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     _check_conv_shapes(x, k)
     ell = k.shape[0]
-    wo = x.shape[0] - ell + 1
-    ho = x.shape[1] - ell + 1
-    y_mat = im2col(x, ell) @ kernel_to_matrix(k)
-    # row = x + wo*y: C-order (ho, wo, S) puts x fastest within each y block
-    return y_mat.reshape(ho, wo, k.shape[3]).transpose(1, 0, 2)
+    y_mat = im2col_batch(x[None], ell) @ kernel_to_matrix(k)
+    return y_mat.reshape(x.shape[0] - ell + 1, x.shape[1] - ell + 1, k.shape[3])

@@ -13,6 +13,9 @@ where ``c'`` and ``s'`` are little-endian mixed-radix flattenings of the digit
 vectors and the spatial slice index is ``x + l * y``.  The compound slice
 index within mode k is ``c_k * S_k + s_k``, matching the matrix-TT convention.
 
+The forward convolution multiplies image patches by the kernel matrix that
+``ttconv_matrix`` rebuilds from the cores; ``ttconv_matrix_grad`` is its VJP.
+
 The naive baseline applies TT-SVD to the raw ``(l, l, C, S)`` tensor.
 """
 
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import conv2d_direct, kernel_to_matrix, matrix_to_kernel
+from .conv import col2im_batch, conv2d_direct, im2col_batch, kernel_to_matrix, matrix_to_kernel
 from .errors import ShapeError
-from .tt import TTTensor, tt_full, tt_param_count, tt_svd
+from .tt import TTTensor, tt_chain, tt_chain_grad, tt_full, tt_param_count, tt_svd
 from .ttmatrix import TTMatrix, from_compound_tensor, to_compound_tensor
 
 
@@ -198,26 +201,13 @@ class TTConvKernel:
 
     def as_tt(self) -> TTTensor:
         """The underlying TT over modes (l*l, C_1*S_1, ..., C_d*S_d)."""
-        ell, r1 = self.ell, self.g0.shape[2]
-        core0 = self.g0.transpose(1, 0, 2).reshape(1, ell * ell, r1)
-        chain = [core0]
-        for core in self.cores:
-            r_in, ck, sk, r_out = core.shape
-            chain.append(core.reshape(r_in, ck * sk, r_out))
-        return TTTensor(chain)
+        return TTTensor(_chain_cores(self.g0, self.cores))
 
     def __repr__(self):
         return (
             f"TTConvKernel(ell={self.ell}, c_factors={self.fact.c_factors}, "
             f"s_factors={self.fact.s_factors}, ranks={self.ranks})"
         )
-
-
-def _pad_kernel_channels(kernel: np.ndarray, fact: ChannelFactorization) -> np.ndarray:
-    ell = kernel.shape[0]
-    padded = np.zeros((ell, ell, fact.c_padded, fact.s_padded))
-    padded[:, :, : kernel.shape[2], : kernel.shape[3]] = kernel
-    return padded
 
 
 def ttconv_from_dense(kernel, fact: ChannelFactorization, max_ranks=None, tol=None) -> TTConvKernel:
@@ -231,7 +221,7 @@ def ttconv_from_dense(kernel, fact: ChannelFactorization, max_ranks=None, tol=No
             f"({fact.channels_in}, {fact.channels_out})"
         )
     ell = kernel.shape[0]
-    mat = kernel_to_matrix(_pad_kernel_channels(kernel, fact))
+    mat = kernel_to_matrix(np.pad(kernel, ((0, 0), (0, 0), (0, fact.pad_c), (0, fact.pad_s))))
     tensor = to_compound_tensor(
         mat, (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
     )
@@ -245,119 +235,67 @@ def ttconv_from_dense(kernel, fact: ChannelFactorization, max_ranks=None, tol=No
     return TTConvKernel(ell, fact, g0, cores)
 
 
+def _chain_cores(g0, cores) -> list:
+    """The proposed form's cores as a TT chain over (l*l, C_1*S_1, ..., C_d*S_d)."""
+    ell, _, r1 = g0.shape
+    chain = [g0.transpose(1, 0, 2).reshape(1, ell * ell, r1)]
+    for core in cores:
+        r_in, ck, sk, r_out = core.shape
+        chain.append(core.reshape(r_in, ck * sk, r_out))
+    return chain
+
+
+def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.ndarray:
+    """Kernel matrix of cores ``g0`` (l, l, r_1) and (r_k, C_k, S_k, r_{k+1}).
+
+    Rows and columns are as in kernel_to_matrix, limited to the first
+    ``channels`` input channels and the real output channels.
+    """
+    ell = g0.shape[0]
+    rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
+    mat = from_compound_tensor(tt_chain(_chain_cores(g0, cores)), rows, cols)
+    return mat[: ell * ell * channels, : fact.channels_out]
+
+
+def ttconv_matrix_grad(g0, cores, fact: ChannelFactorization, dmat):
+    """Gradients (dg0, dcores) of ``sum(dmat * ttconv_matrix(g0, cores, fact, C))``."""
+    ell = g0.shape[0]
+    rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
+    pads = ((0, ell * ell * fact.c_padded - dmat.shape[0]), (0, fact.s_padded - dmat.shape[1]))
+    dfull = to_compound_tensor(np.pad(dmat, pads), rows, cols)
+    grads = tt_chain_grad(_chain_cores(g0, cores), dfull)
+    dg0 = grads[0].reshape(ell, ell, -1).transpose(1, 0, 2)
+    return dg0, [g.reshape(core.shape) for g, core in zip(grads[1:], cores)]
+
+
 def ttconv_to_dense(tk: TTConvKernel) -> np.ndarray:
     """Materialize the dense kernel and strip dummy channels."""
-    fact = tk.fact
-    tensor = tt_full(tk.as_tt())
-    mat = from_compound_tensor(
-        tensor, (tk.ell * tk.ell,) + fact.c_factors, (1,) + fact.s_factors
-    )
-    kernel = matrix_to_kernel(mat, tk.ell, fact.c_padded)
-    return kernel[:, :, : fact.channels_in, : fact.channels_out]
+    mat = ttconv_matrix(tk.g0, tk.cores, tk.fact, tk.fact.channels_in)
+    return matrix_to_kernel(mat, tk.ell, tk.fact.channels_in)
 
 
 def ttconv_forward_batch(xb, ell, fact, g0, cores, keep_cache=False):
-    """Batched forward contraction; never materializes the dense kernel.
+    """Batched forward convolution: image patches times the kernel matrix.
 
-    xb has shape (B, W, H, C) with C <= C_padded.  The sweep applies the
-    spatial core to image patches first, then absorbs one channel core at a
-    time, carrying an intermediate laid out as
-    (pixels, remaining input digits, rank, produced output digits).
-    Returns (yb, cache); cache is None unless keep_cache.
+    xb has shape (B, W, H, C) with C <= C_padded; channels beyond C count as
+    zeros.  Returns (yb, cache); cache is None unless keep_cache.
     """
-    xb = np.asarray(xb, dtype=np.float64)
-    if xb.ndim != 4:
-        raise ShapeError(f"batch input must be B x W x H x C, got {xb.ndim} dims")
-    b, w, h, c_in = xb.shape
+    cols = im2col_batch(xb, ell)
+    b, w, h, c_in = np.shape(xb)
     if c_in > fact.c_padded:
         raise ShapeError(f"input has {c_in} channels, factorization caps at {fact.c_padded}")
-    if ell > min(w, h):
-        raise ShapeError(f"filter size {ell} exceeds input dims ({w}, {h})")
-    cp = fact.c_padded
-    if c_in < cp:
-        xp = np.zeros((b, w, h, cp))
-        xp[..., :c_in] = xb
-    else:
-        xp = xb
-    wo, ho = w - ell + 1, h - ell + 1
-    n = b * wo * ho
-    r1 = g0.shape[2]
-
-    t = np.zeros((b, wo, ho, cp, r1))
-    for i in range(ell):
-        for j in range(ell):
-            t += xp[:, i : i + wo, j : j + ho, :, None] * g0[i, j]
-    t = t.reshape(n, cp, r1)[..., None]
-
-    saved = [] if keep_cache else None
-    for core in cores:
-        r_in, ck, sk, r_out = core.shape
-        c_rest2 = t.shape[1] // ck
-        s_prod = t.shape[3]
-        if keep_cache:
-            saved.append(t)
-        tr = t.reshape(n, c_rest2, ck, r_in, s_prod)
-        r = np.tensordot(tr, core, axes=[(2, 3), (1, 0)])
-        t = np.ascontiguousarray(r.transpose(0, 1, 4, 3, 2)).reshape(
-            n, c_rest2, r_out, sk * s_prod
-        )
-
-    s_real = fact.channels_out
-    yb = t.reshape(b, wo, ho, fact.s_padded)[..., :s_real]
-    cache = None
-    if keep_cache:
-        cache = {
-            "xp": xp,
-            "x_channels": c_in,
-            "saved": saved,
-            "shape": (b, w, h, wo, ho),
-            "ell": ell,
-            "fact": fact,
-            "g0": g0,
-            "cores": cores,
-        }
+    mat = ttconv_matrix(g0, cores, fact, c_in)
+    yb = (cols @ mat).reshape(b, w - ell + 1, h - ell + 1, fact.channels_out)
+    cache = (cols, mat, np.shape(xb), fact, g0, cores) if keep_cache else None
     return yb, cache
 
 
 def ttconv_backward_batch(cache, dyb):
-    """Gradients of the batched contraction: (dxb, dg0, dcores)."""
-    fact = cache["fact"]
-    g0, cores = cache["g0"], cache["cores"]
-    ell = cache["ell"]
-    b, w, h, wo, ho = cache["shape"]
-    n = b * wo * ho
-    dyb = np.asarray(dyb, dtype=np.float64)
-
-    dt = np.zeros((b, wo, ho, fact.s_padded))
-    dt[..., : fact.channels_out] = dyb
-    dt = dt.reshape(n, 1, 1, fact.s_padded)
-
-    dcores = [None] * len(cores)
-    for k in range(len(cores) - 1, -1, -1):
-        core = cores[k]
-        r_in, ck, sk, r_out = core.shape
-        t_prev = cache["saved"][k]
-        c_rest2 = t_prev.shape[1] // ck
-        s_prod = t_prev.shape[3]
-        dr = np.ascontiguousarray(
-            dt.reshape(n, c_rest2, r_out, sk, s_prod).transpose(0, 1, 4, 3, 2)
-        )
-        tr = t_prev.reshape(n, c_rest2, ck, r_in, s_prod)
-        dcore = np.tensordot(tr, dr, axes=[(0, 1, 4), (0, 1, 2)])
-        dcores[k] = np.ascontiguousarray(dcore.transpose(1, 0, 2, 3))
-        dtr = np.tensordot(dr, core, axes=[(3, 4), (2, 3)])
-        dt = np.ascontiguousarray(dtr.transpose(0, 1, 4, 3, 2)).reshape(t_prev.shape)
-
-    dt1 = dt.reshape(b, wo, ho, fact.c_padded, g0.shape[2])
-    xp = cache["xp"]
-    dg0 = np.zeros_like(g0)
-    dxp = np.zeros_like(xp)
-    for i in range(ell):
-        for j in range(ell):
-            win = xp[:, i : i + wo, j : j + ho]
-            dg0[i, j] = np.tensordot(win, dt1, axes=[(0, 1, 2, 3), (0, 1, 2, 3)])
-            dxp[:, i : i + wo, j : j + ho] += dt1 @ g0[i, j]
-    return dxp[..., : cache["x_channels"]], dg0, dcores
+    """Gradients of the batched convolution: (dxb, dg0, dcores)."""
+    cols, mat, in_shape, fact, g0, cores = cache
+    dy = np.asarray(dyb, dtype=np.float64).reshape(-1, mat.shape[1])
+    dg0, dcores = ttconv_matrix_grad(g0, cores, fact, cols.T @ dy)
+    return col2im_batch(dy @ mat.T, g0.shape[0], in_shape), dg0, dcores
 
 
 def ttconv_forward(x, tk: TTConvKernel) -> np.ndarray:

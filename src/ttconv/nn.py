@@ -2,9 +2,11 @@
 
 Layers operate on batches: images are (B, W, H, C) arrays, flat features
 (B, F).  Every layer owns its parameter arrays and matching gradient buffers;
-``backward`` must be called right after ``forward`` on the same batch.  TT
-layers keep their cores as the parameters and never materialize the dense
-kernel in the forward pass.
+``backward`` must be called right after ``forward`` on the same batch.  All
+parametrized layers share one body, ``y = patches @ W + b``, and differ only
+in how the weight matrix W is built from their parameters: TT layers keep
+their cores as the parameters, rebuild W from them on every forward pass and
+send dL/dW back to the cores through the gradient of the chain product.
 """
 
 from __future__ import annotations
@@ -14,14 +16,10 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .conv import kernel_to_matrix, matrix_to_kernel
+from .conv import col2im_batch, im2col_batch, kernel_to_matrix, matrix_to_kernel
 from .errors import ShapeError, TrainingDiverged
-from .kernels import (
-    factorize_channels,
-    fit_factorization,
-    ttconv_backward_batch,
-    ttconv_forward_batch,
-)
+from .kernels import factorize_channels, fit_factorization, ttconv_matrix, ttconv_matrix_grad
+from .tt import FULL_ELEMENT_CAP, tt_chain, tt_chain_grad
 
 __all__ = [
     "Layer",
@@ -90,37 +88,78 @@ class Layer:
         return self.params
 
 
-def _check_image(x, kind):
-    if x.ndim != 4:
-        raise ShapeError(f"{kind} expects (B, W, H, C) input, got {x.ndim} dims")
+def _check_dense_size(n_elements):
+    if n_elements > FULL_ELEMENT_CAP:
+        raise ShapeError(
+            f"dense weight of {n_elements} elements exceeds the cap of {FULL_ELEMENT_CAP}"
+        )
 
 
-def _im2col_batch(xb, ell):
-    b, w, h, c = xb.shape
-    wo, ho = w - ell + 1, h - ell + 1
-    wins = sliding_window_view(xb, (ell, ell), axis=(1, 2))  # (B, wo, ho, C, i, j)
-    cols = np.ascontiguousarray(wins.transpose(0, 1, 2, 3, 5, 4))
-    return cols.reshape(b * wo * ho, ell * ell * c), (b, wo, ho)
+class _MatrixLayer(Layer):
+    """Shared body of the parametrized layers: ``y = patches @ W + b``.
+
+    A patch row is one flattened sample here, one output pixel in
+    ``_ConvLayer``.  Subclasses supply ``_init_weights(channels, n_out, rng)``,
+    ``weight_matrix()`` and ``weight_grads(dw)``: the weight parameters, W
+    built from them, and their gradients given dL/dW.  Bias goes last.
+    """
+
+    ell = 1
+    in_features = None
+
+    def __init__(self, out_features, bias=True):
+        super().__init__()
+        self.out_features = out_features
+        self.with_bias = bias
+
+    def _build(self, channels, n_out, rng):
+        weights = self._init_weights(channels, n_out, rng)
+        self.weight_shape = (self.ell * self.ell * channels, n_out)
+        self._register(*weights, *([np.zeros(n_out)] if self.with_bias else []))
+
+    def _weights(self):
+        return self.params[:-1] if self.with_bias else self.params
+
+    def build(self, in_shape, rng):
+        self.in_features = math.prod(in_shape)
+        self._build(self.in_features, self.out_features, rng)
+        return (self.out_features,)
+
+    def _patches(self, x):
+        return x.reshape(x.shape[0], -1), (x.shape[0], self.out_features)
+
+    def _unpatch(self, dcols, in_shape):
+        return dcols.reshape(in_shape)
+
+    def forward(self, x, train=False):
+        cols, out_shape = self._patches(x)
+        w = self.weight_matrix()
+        y = cols @ w
+        if self.with_bias:
+            y += self.params[-1]
+        self._cache = (cols, x.shape, w) if train else None
+        return y.reshape(out_shape)
+
+    def backward(self, dy):
+        cols, in_shape, w = self._require_cache()
+        dy = dy.reshape(cols.shape[0], -1)
+        for g, dp in zip(self.grads, self.weight_grads(cols.T @ dy)):
+            g[...] = dp
+        if self.with_bias:
+            self.grads[-1][...] = dy.sum(axis=0)
+        return self._unpatch(dy @ w.T, in_shape)
+
+    @property
+    def dense_param_count(self):
+        rows, n_out = self.weight_shape
+        return rows * n_out + (n_out if self.with_bias else 0)
 
 
-def _col2im_batch(dmat, ell, in_shape):
-    b, w, h, c = in_shape
-    wo, ho = w - ell + 1, h - ell + 1
-    dwin = dmat.reshape(b, wo, ho, c, ell, ell)  # (..., j, i)
-    dx = np.zeros(in_shape)
-    for i in range(ell):
-        for j in range(ell):
-            dx[:, i : i + wo, j : j + ho, :] += dwin[:, :, :, :, j, i]
-    return dx
-
-
-class Conv2D(Layer):
-    """Dense convolution, computed as one GEMM over image patches."""
-
-    kind = "dense-conv"
+class _ConvLayer(_MatrixLayer):
+    """Valid stride-1 convolution: one patch row per output pixel (im2col_batch)."""
 
     def __init__(self, ell, out_channels, bias=True):
-        super().__init__()
+        Layer.__init__(self)
         self.ell = ell
         self.out_channels = out_channels
         self.with_bias = bias
@@ -129,45 +168,38 @@ class Conv2D(Layer):
         w, h, c = in_shape
         if self.ell > min(w, h):
             raise ShapeError(f"filter {self.ell} exceeds input dims ({w}, {h})")
-        std = math.sqrt(2.0 / (self.ell * self.ell * c))
-        kernel = std * rng.standard_normal((self.ell, self.ell, c, self.out_channels))
-        if self.with_bias:
-            self._register(kernel, np.zeros(self.out_channels))
-        else:
-            self._register(kernel)
+        self._build(c, self.out_channels, rng)
         return (w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
-    def forward(self, x, train=False):
-        _check_image(x, self.kind)
-        kernel = self.params[0]
-        x_mat, (b, wo, ho) = _im2col_batch(x, self.ell)
-        y = (x_mat @ kernel_to_matrix(kernel)).reshape(b, wo, ho, self.out_channels)
-        if self.with_bias:
-            y += self.params[1]
-        self._cache = (x_mat, x.shape) if train else None
-        return y
+    def _patches(self, x):
+        cols = im2col_batch(x, self.ell)
+        b, w, h, _ = x.shape
+        return cols, (b, w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
-    def backward(self, dy):
-        x_mat, in_shape = self._require_cache()
-        dy_mat = dy.reshape(-1, self.out_channels)
-        dk_mat = x_mat.T @ dy_mat
-        self.grads[0][...] = matrix_to_kernel(dk_mat, self.ell, in_shape[3])
-        if self.with_bias:
-            self.grads[1][...] = dy_mat.sum(axis=0)
-        dx_mat = dy_mat @ kernel_to_matrix(self.params[0]).T
-        return _col2im_batch(dx_mat, self.ell, in_shape)
+    def _unpatch(self, dcols, in_shape):
+        return col2im_batch(dcols, self.ell, in_shape)
 
 
-def _chain_path_count(ranks):
-    total = 1
-    for r in ranks[1:-1]:
-        total *= r
-    return total
+class Conv2D(_ConvLayer):
+    """Dense convolution, computed as one GEMM over image patches."""
+
+    kind = "dense-conv"
+
+    def _init_weights(self, channels, n_out, rng):
+        std = math.sqrt(2.0 / (self.ell * self.ell * channels))
+        return [std * rng.standard_normal((self.ell, self.ell, channels, n_out))]
+
+    def weight_matrix(self):
+        return kernel_to_matrix(self.params[0])
+
+    def weight_grads(self, dw):
+        return [matrix_to_kernel(dw, self.ell, self.params[0].shape[2])]
 
 
-def _scaled_tt_init(rng, shapes, fan_in, path_count):
+def _scaled_tt_init(rng, shapes, fan_in):
     """Gaussian cores at per-core variance 2/size, rescaled so the
     reconstructed kernel matches He initialization elementwise."""
+    path_count = math.prod(shape[-1] for shape in shapes[:-1])
     arrays = []
     var = 1.0
     for shape in shapes:
@@ -180,276 +212,115 @@ def _scaled_tt_init(rng, shapes, fan_in, path_count):
     return [fix * a for a in arrays]
 
 
-class TTConv(Layer):
-    """Convolution whose kernel lives in the proposed TT form.
+class _ProposedTT:
+    """Weights in the proposed TT form (spatial core, then channel cores)."""
 
-    The parameters are the spatial core, the channel cores, and (optionally) a
-    bias; the forward pass contracts them against the input directly.
-    """
+    fact = None
 
-    kind = "tt-conv"
-
-    def __init__(self, ell, out_channels, ranks, d=2, factors=None, bias=True):
-        super().__init__()
-        self.ell = ell
-        self.out_channels = out_channels
+    def __init__(self, ranks, d, factors, *geometry):
+        super().__init__(*geometry)
         self.ranks = tuple(int(r) for r in ranks)
         self.d = d if factors is None else factors.depth
         self.factors = factors
-        self.with_bias = bias
-        self.fact = None
 
-    def build(self, in_shape, rng):
-        w, h, c = in_shape
-        if self.ell > min(w, h):
-            raise ShapeError(f"filter {self.ell} exceeds input dims ({w}, {h})")
+    def _init_weights(self, channels, n_out, rng):
         if self.factors is not None:
-            fact = fit_factorization(self.factors, c, self.out_channels)
+            fact = fit_factorization(self.factors, channels, n_out)
         else:
-            fact = factorize_channels(c, self.out_channels, self.d)
+            fact = factorize_channels(channels, n_out, self.d)
         if len(self.ranks) != fact.depth:
             raise ShapeError(f"need {fact.depth} interior ranks, got {len(self.ranks)}")
+        _check_dense_size(self.ell * self.ell * fact.c_padded * fact.s_padded)
         self.fact = fact
         chain = self.ranks + (1,)
         shapes = [(self.ell, self.ell, chain[0])]
         for k in range(fact.depth):
             shapes.append((chain[k], fact.c_factors[k], fact.s_factors[k], chain[k + 1]))
-        cores = _scaled_tt_init(
-            rng, shapes, self.ell * self.ell * c, _chain_path_count((1,) + self.ranks + (1,))
-        )
-        if self.with_bias:
-            self._register(*cores, np.zeros(self.out_channels))
-        else:
-            self._register(*cores)
-        return (w - self.ell + 1, h - self.ell + 1, self.out_channels)
+        return _scaled_tt_init(rng, shapes, self.ell * self.ell * channels)
 
-    def _split_params(self):
-        end = len(self.params) - (1 if self.with_bias else 0)
-        return self.params[0], self.params[1:end]
+    def weight_matrix(self):
+        g0, *cores = self._weights()
+        return ttconv_matrix(g0, cores, self.fact, self.fact.channels_in)
 
-    def forward(self, x, train=False):
-        _check_image(x, self.kind)
-        g0, cores = self._split_params()
-        y, cache = ttconv_forward_batch(
-            x, self.ell, self.fact, g0, cores, keep_cache=train
-        )
-        if self.with_bias:
-            y = y + self.params[len(self.params) - 1]
-        self._cache = cache
-        return y
-
-    def backward(self, dy):
-        cache = self._require_cache()
-        dx, dg0, dcores = ttconv_backward_batch(cache, dy)
-        self.grads[0][...] = dg0
-        for k, dc in enumerate(dcores):
-            self.grads[1 + k][...] = dc
-        if self.with_bias:
-            self.grads[len(self.grads) - 1][...] = dy.reshape(-1, self.out_channels).sum(axis=0)
-        return dx
-
-    @property
-    def dense_param_count(self):
-        dense = self.ell * self.ell * self.fact.channels_in * self.out_channels
-        return dense + (self.out_channels if self.with_bias else 0)
+    def weight_grads(self, dw):
+        g0, *cores = self._weights()
+        dg0, dcores = ttconv_matrix_grad(g0, cores, self.fact, dw)
+        return [dg0, *dcores]
 
 
-class NaiveTTConv(Layer):
+class TTConv(_ProposedTT, _ConvLayer):
+    """Convolution whose kernel lives in the proposed TT form.
+
+    The parameters are the spatial core, the channel cores, and (optionally) a
+    bias; each forward pass rebuilds the kernel matrix from the cores.
+    """
+
+    kind = "tt-conv"
+
+    def __init__(self, ell, out_channels, ranks, d=2, factors=None, bias=True):
+        super().__init__(ranks, d, factors, ell, out_channels, bias)
+
+
+class NaiveTTConv(_ConvLayer):
     """Convolution with the raw 4-mode TT kernel (the baseline variant).
 
-    Forward reconstructs the dense kernel from the chain (cheap at these
-    sizes) and convolves; gradients flow back through the reconstruction.
+    Each forward pass rebuilds the dense kernel from the chain of cores.
     """
 
     kind = "naive-tt-conv"
+    in_channels = None
 
     def __init__(self, ell, out_channels, ranks, bias=True):
-        super().__init__()
-        self.ell = ell
-        self.out_channels = out_channels
+        super().__init__(ell, out_channels, bias)
         self.ranks = tuple(int(r) for r in ranks)
-        self.with_bias = bias
-        self.in_channels = None
 
-    def build(self, in_shape, rng):
-        w, h, c = in_shape
-        if self.ell > min(w, h):
-            raise ShapeError(f"filter {self.ell} exceeds input dims ({w}, {h})")
+    def _init_weights(self, channels, n_out, rng):
         if len(self.ranks) != 3:
             raise ShapeError("naive TT kernel has 4 modes and needs 3 interior ranks")
-        self.in_channels = c
-        modes = (self.ell, self.ell, c, self.out_channels)
+        _check_dense_size(self.ell * self.ell * channels * n_out)
+        self.in_channels = channels
+        modes = (self.ell, self.ell, channels, n_out)
         chain = (1,) + self.ranks + (1,)
         shapes = [(chain[k], modes[k], chain[k + 1]) for k in range(4)]
-        cores = _scaled_tt_init(
-            rng, shapes, self.ell * self.ell * c, _chain_path_count(chain)
+        return _scaled_tt_init(rng, shapes, self.ell * self.ell * channels)
+
+    def weight_matrix(self):
+        kernel = tt_chain(self._weights())
+        return kernel_to_matrix(
+            kernel.reshape(self.ell, self.ell, self.in_channels, self.out_channels)
         )
-        if self.with_bias:
-            self._register(*cores, np.zeros(self.out_channels))
-        else:
-            self._register(*cores)
-        return (w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
-    def _cores(self):
-        end = len(self.params) - (1 if self.with_bias else 0)
-        return self.params[:end]
-
-    def _reconstruct(self):
-        """Dense kernel plus the prefix/suffix chain products for backward."""
-        cores = self._cores()
-        prefixes = [np.ones((1, 1))]
-        for core in cores:
-            r_in, n, r_out = core.shape
-            m = prefixes[-1] @ core.reshape(r_in, n * r_out)
-            prefixes.append(m.reshape(-1, r_out))
-        suffixes = [np.ones((1, 1))]
-        for core in reversed(cores):
-            r_in, n, r_out = core.shape
-            m = core.reshape(r_in * n, r_out) @ suffixes[0]
-            suffixes.insert(0, m.reshape(r_in, -1))
-        kernel = prefixes[-1].reshape(self.ell, self.ell, self.in_channels, self.out_channels)
-        return kernel, prefixes, suffixes
-
-    def forward(self, x, train=False):
-        _check_image(x, self.kind)
-        kernel, prefixes, suffixes = self._reconstruct()
-        x_mat, (b, wo, ho) = _im2col_batch(x, self.ell)
-        y = (x_mat @ kernel_to_matrix(kernel)).reshape(b, wo, ho, self.out_channels)
-        if self.with_bias:
-            y += self.params[len(self.params) - 1]
-        self._cache = (x_mat, x.shape, kernel, prefixes, suffixes) if train else None
-        return y
-
-    def backward(self, dy):
-        x_mat, in_shape, kernel, prefixes, suffixes = self._require_cache()
-        dy_mat = dy.reshape(-1, self.out_channels)
-        dk_mat = x_mat.T @ dy_mat
-        dkernel = matrix_to_kernel(dk_mat, self.ell, self.in_channels)
-        cores = self._cores()
-        dflat = dkernel.reshape(-1)
-        for k, core in enumerate(cores):
-            r_in, n, r_out = core.shape
-            left = prefixes[k]  # (prod n_{<k}, r_in)
-            right = suffixes[k + 1]  # (r_out, prod n_{>k})
-            df = dflat.reshape(left.shape[0], n, right.shape[1])
-            tmp = np.tensordot(left, df, axes=(0, 0))  # (r_in, n, rest)
-            self.grads[k][...] = np.tensordot(tmp, right, axes=(2, 1))
-        if self.with_bias:
-            self.grads[len(self.grads) - 1][...] = dy_mat.sum(axis=0)
-        dx_mat = dy_mat @ kernel_to_matrix(kernel).T
-        return _col2im_batch(dx_mat, self.ell, in_shape)
-
-    @property
-    def dense_param_count(self):
-        dense = self.ell * self.ell * self.in_channels * self.out_channels
-        return dense + (self.out_channels if self.with_bias else 0)
+    def weight_grads(self, dw):
+        return tt_chain_grad(self._weights(), matrix_to_kernel(dw, self.ell, self.in_channels))
 
 
-class Dense(Layer):
+class Dense(_MatrixLayer):
     """Fully-connected layer; flattens trailing input axes."""
 
     kind = "dense-fc"
 
-    def __init__(self, out_features, bias=True):
-        super().__init__()
-        self.out_features = out_features
-        self.with_bias = bias
+    def _init_weights(self, channels, n_out, rng):
+        std = math.sqrt(2.0 / channels)
+        return [std * rng.standard_normal((channels, n_out))]
 
-    def build(self, in_shape, rng):
-        in_features = math.prod(in_shape)
-        std = math.sqrt(2.0 / in_features)
-        w = std * rng.standard_normal((in_features, self.out_features))
-        if self.with_bias:
-            self._register(w, np.zeros(self.out_features))
-        else:
-            self._register(w)
-        return (self.out_features,)
+    def weight_matrix(self):
+        return self.params[0]
 
-    def forward(self, x, train=False):
-        flat = x.reshape(x.shape[0], -1)
-        y = flat @ self.params[0]
-        if self.with_bias:
-            y += self.params[1]
-        self._cache = (flat, x.shape) if train else None
-        return y
-
-    def backward(self, dy):
-        flat, in_shape = self._require_cache()
-        self.grads[0][...] = flat.T @ dy
-        if self.with_bias:
-            self.grads[1][...] = dy.sum(axis=0)
-        return (dy @ self.params[0].T).reshape(in_shape)
+    def weight_grads(self, dw):
+        return [dw]
 
 
-class TTDense(Layer):
+class TTDense(_ProposedTT, _MatrixLayer):
     """Fully-connected layer with the weight matrix in TT form.
 
-    Internally a 1x1 TT convolution applied to a single-pixel image, which is
-    exactly the matrix-TT product.
+    The weights are those of a 1x1 TT convolution over the flattened input's
+    features, whose kernel matrix is the matrix-TT product.
     """
 
     kind = "tt-fc"
 
     def __init__(self, out_features, ranks, d=2, factors=None, bias=True):
-        super().__init__()
-        self.out_features = out_features
-        self.ranks = tuple(int(r) for r in ranks)
-        self.d = d if factors is None else factors.depth
-        self.factors = factors
-        self.with_bias = bias
-        self.fact = None
-        self.in_features = None
-
-    def build(self, in_shape, rng):
-        in_features = math.prod(in_shape)
-        self.in_features = in_features
-        if self.factors is not None:
-            fact = fit_factorization(self.factors, in_features, self.out_features)
-        else:
-            fact = factorize_channels(in_features, self.out_features, self.d)
-        if len(self.ranks) != fact.depth:
-            raise ShapeError(f"need {fact.depth} interior ranks, got {len(self.ranks)}")
-        self.fact = fact
-        chain = self.ranks + (1,)
-        shapes = [(1, 1, chain[0])]
-        for k in range(fact.depth):
-            shapes.append((chain[k], fact.c_factors[k], fact.s_factors[k], chain[k + 1]))
-        cores = _scaled_tt_init(
-            rng, shapes, in_features, _chain_path_count((1,) + self.ranks + (1,))
-        )
-        if self.with_bias:
-            self._register(*cores, np.zeros(self.out_features))
-        else:
-            self._register(*cores)
-        return (self.out_features,)
-
-    def forward(self, x, train=False):
-        flat = x.reshape(x.shape[0], 1, 1, -1)
-        end = len(self.params) - (1 if self.with_bias else 0)
-        y, cache = ttconv_forward_batch(
-            flat, 1, self.fact, self.params[0], self.params[1:end], keep_cache=train
-        )
-        y = y.reshape(x.shape[0], self.out_features)
-        if self.with_bias:
-            y = y + self.params[len(self.params) - 1]
-        self._cache = (cache, x.shape) if train else None
-        return y
-
-    def backward(self, dy):
-        cache, in_shape = self._require_cache()
-        dx, dg0, dcores = ttconv_backward_batch(cache, dy[:, None, None, :])
-        self.grads[0][...] = dg0
-        for k, dc in enumerate(dcores):
-            self.grads[1 + k][...] = dc
-        if self.with_bias:
-            self.grads[len(self.grads) - 1][...] = dy.sum(axis=0)
-        return dx.reshape(in_shape)
-
-    @property
-    def dense_param_count(self):
-        return self.in_features * self.out_features + (
-            self.out_features if self.with_bias else 0
-        )
+        super().__init__(ranks, d, factors, out_features, bias)
 
 
 class ReLU(Layer):
@@ -479,7 +350,8 @@ class MaxPool(Layer):
         return ((w - self.size) // self.stride + 1, (h - self.size) // self.stride + 1, c)
 
     def forward(self, x, train=False):
-        _check_image(x, self.kind)
+        if x.ndim != 4:
+            raise ShapeError(f"{self.kind} expects (B, W, H, C) input, got {x.ndim} dims")
         wins = sliding_window_view(x, (self.size, self.size), axis=(1, 2))
         wins = wins[:, :: self.stride, :: self.stride]  # (B, nx, ny, C, 3, 3)
         flat = wins.reshape(wins.shape[:4] + (self.size * self.size,))

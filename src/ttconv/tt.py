@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ShapeError, SizeError
 
-# Materialization cap for tt_full (number of elements).
+# Materialization cap for tt_chain and tt_full (number of elements).
 FULL_ELEMENT_CAP = 10**8
 
 # Singular values closer than this (relative to the largest one) are treated
@@ -88,16 +88,48 @@ def tt_element(tt: TTTensor, index) -> float:
 
 def tt_full(tt: TTTensor) -> np.ndarray:
     """Materialize the full dense tensor (shape = mode_sizes)."""
-    n_elements = math.prod(tt.mode_sizes)
+    return tt_chain(tt.cores).reshape(tt.mode_sizes)
+
+
+def tt_chain(cores) -> np.ndarray:
+    """Chain product of cores ``(r_{k-1}, n_k, r_k)`` with ``r_0 = r_d = 1``.
+
+    Returns the entries of the tensor the cores represent, flat in C order of
+    the mode sizes; raises SizeError above FULL_ELEMENT_CAP entries.
+    """
+    n_elements = math.prod(core.shape[1] for core in cores)
     if n_elements > FULL_ELEMENT_CAP:
         raise SizeError(
             f"refusing to materialize {n_elements} elements (cap {FULL_ELEMENT_CAP})"
         )
-    full = tt.cores[0].reshape(tt.mode_sizes[0], -1)
-    for core in tt.cores[1:]:
+    full = cores[0].reshape(cores[0].shape[1], -1)
+    for core in cores[1:]:
         r_prev, n_k, r_k = core.shape
         full = full.reshape(-1, r_prev) @ core.reshape(r_prev, n_k * r_k)
-    return full.reshape(tt.mode_sizes)
+    return full.reshape(-1)
+
+
+def tt_chain_grad(cores, grad) -> list:
+    """Gradient of ``sum(grad * tt_chain(cores))`` with respect to each core.
+
+    Core k gets P_k^T R_k: P_k is the product of the cores left of it, as
+    (prod n_<k, r_{k-1}); R_k is ``grad`` contracted with the cores right of
+    it, as (prod n_<k, n_k * r_k).  Contracting ``grad`` one core at a time
+    never forms the product of the cores right of core k.
+    """
+    prefixes = [np.ones((1, 1))]
+    for core in cores[:-1]:
+        r_in, n, r_out = core.shape
+        prefixes.append((prefixes[-1] @ core.reshape(r_in, n * r_out)).reshape(-1, r_out))
+    grads = [None] * len(cores)
+    rest = grad
+    for k in range(len(cores) - 1, -1, -1):
+        r_in, n, r_out = cores[k].shape
+        rest = rest.reshape(-1, n * r_out)
+        grads[k] = (prefixes[k].T @ rest).reshape(r_in, n, r_out)
+        if k:
+            rest = rest @ cores[k].reshape(r_in, n * r_out).T
+    return grads
 
 
 def tt_param_count(tt: TTTensor) -> int:

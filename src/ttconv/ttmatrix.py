@@ -77,11 +77,11 @@ def from_compound_tensor(t: np.ndarray, row_factors, col_factors) -> np.ndarray:
     col_factors = tuple(int(f) for f in col_factors)
     d = len(row_factors)
     pairs = t.reshape(tuple(x for mk, nk in zip(row_factors, col_factors) for x in (mk, nk)))
-    # (mu_1, nu_1, ..., mu_d, nu_d) -> (mu_1..mu_d, nu_1..nu_d)
-    perm = [2 * k for k in range(d)] + [2 * k + 1 for k in range(d)]
-    digits = pairs.transpose(perm)
+    # (mu_1, nu_1, ..., mu_d, nu_d) -> (mu_d..mu_1, nu_d..nu_1): C order puts
+    # digit 1 fastest, and one C-order copy is cheaper than an F-order reshape
+    perm = [2 * k for k in reversed(range(d))] + [2 * k + 1 for k in reversed(range(d))]
     m, n = math.prod(row_factors), math.prod(col_factors)
-    return digits.reshape((m, n), order="F")
+    return pairs.transpose(perm).reshape(m, n)
 
 
 class TTMatrix:

@@ -1,9 +1,20 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ttconv.config import build_network, load_config
+from ttconv.conv import conv2d_direct
 from ttconv.errors import ShapeError, TrainingDiverged
-from ttconv.kernels import factorize_channels, ttconv_from_dense
+from ttconv.kernels import (
+    ChannelFactorization,
+    TTConvKernel,
+    factorize_channels,
+    ttconv_from_dense,
+    ttconv_to_dense,
+)
 from ttconv.nn import (
     AvgPool,
     BatchNorm,
@@ -24,6 +35,9 @@ from ttconv.nn import (
     gradcheck,
     train,
 )
+from ttconv.tt import FULL_ELEMENT_CAP, TTTensor, tt_full
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_mixed_net():
@@ -368,3 +382,85 @@ class TestTrain:
         assert lines[1] == "# compression = 1.0"
         assert lines[2] == "epoch,lr,train_loss,train_acc,test_acc"
         assert lines[3].startswith("0,0.1,0.5,")
+
+
+class TestInitParity:
+    """Initial parameters of the shipped configs, fixed by their init_seed."""
+
+    @pytest.mark.parametrize(
+        "path,input_shape,digest",
+        [
+            ("demos/configs/ttconv.cfg", None, "394dd7c3f9bcae7d"),
+            ("demos/configs/dense-baseline.cfg", None, "663cbb915c2dac9b"),
+            ("perfbench/configs/paper-net.cfg", (32, 32, 64), "eb078249d9b473a2"),
+        ],
+    )
+    def test_params_after_build(self, path, input_shape, digest):
+        cfg = load_config(ROOT / path)
+        net = build_network(cfg)
+        net.build(input_shape or (cfg["size"], cfg["size"], 1), np.random.default_rng(cfg["init_seed"]))
+        assert hashlib.sha256(net.get_params().tobytes()).hexdigest().startswith(digest)
+
+
+# (C, S, d): channel counts whose factorization needs dummy channels
+PADDED_CHANNELS = [(6, 5, 2), (3, 7, 3)]
+
+
+def _dense_weight(layer):
+    """The dense kernel (convolutions) or matrix (fully-connected) of a layer."""
+    if layer.kind in ("dense-conv", "dense-fc"):
+        return layer.params[0]
+    if layer.kind == "naive-tt-conv":
+        return tt_full(TTTensor(layer.params[:4]))
+    d = layer.fact.depth
+    tk = TTConvKernel(layer.ell, layer.fact, layer.params[0], layer.params[1 : 1 + d])
+    kernel = ttconv_to_dense(tk)
+    return kernel[0, 0] if layer.kind == "tt-fc" else kernel
+
+
+class TestPaddedChannels:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("c,s,d", PADDED_CHANNELS)
+    @pytest.mark.parametrize("kind", ["dense-conv", "tt-conv", "naive-tt-conv"])
+    def test_conv_kinds(self, kind, c, s, d, ell, bias):
+        layer = {
+            "dense-conv": lambda: Conv2D(ell, s, bias=bias),
+            "tt-conv": lambda: TTConv(ell, s, ranks=(2,) * d, d=d, bias=bias),
+            "naive-tt-conv": lambda: NaiveTTConv(ell, s, ranks=(2, 3, 2), bias=bias),
+        }[kind]()
+        self._check(layer, (4, 4, c), bias)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("c,s,d", PADDED_CHANNELS)
+    @pytest.mark.parametrize("kind", ["dense-fc", "tt-fc"])
+    def test_fc_kinds(self, kind, c, s, d, bias):
+        layer = Dense(s, bias=bias) if kind == "dense-fc" else TTDense(s, ranks=(2,) * d, d=d, bias=bias)
+        self._check(layer, (c,), bias)
+
+    def _check(self, layer, in_shape, bias):
+        rng = np.random.default_rng(17)
+        net = Network([layer, Dense(2)])
+        net.build(in_shape, np.random.default_rng(5))
+        if bias:
+            layer.params[-1][...] = rng.standard_normal(layer.params[-1].shape)
+        x = rng.standard_normal((3,) + in_shape)
+        weight = _dense_weight(layer)
+        if len(in_shape) == 1:
+            ref = x @ weight
+        else:
+            ref = np.stack([conv2d_direct(xi, weight) for xi in x])
+        if bias:
+            ref = ref + layer.params[-1]
+        assert_allclose(layer.forward(x), ref, rtol=1e-12, atol=1e-12)
+        for r in gradcheck(net, x, np.array([0, 1, 1])):
+            assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+
+class TestOversizeGuard:
+    def test_tt_fc_above_cap_rejected_at_build(self):
+        fact = ChannelFactorization((1024, 1024), (16, 16))
+        assert 2**20 * 256 > FULL_ELEMENT_CAP
+        net = Network([TTDense(256, ranks=(2, 2), factors=fact)])
+        with pytest.raises(ShapeError, match=r"layer 0 \(tt-fc\).*exceeds the cap"):
+            net.build((1024, 1024, 1), np.random.default_rng(0))

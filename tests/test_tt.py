@@ -1,11 +1,21 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ttconv.errors import ShapeError, SizeError
-from ttconv.tt import TTTensor, random_tt, tt_element, tt_full, tt_param_count, tt_svd
+from ttconv.tt import (
+    TTTensor,
+    random_tt,
+    tt_chain,
+    tt_chain_grad,
+    tt_element,
+    tt_full,
+    tt_param_count,
+    tt_svd,
+)
 
 
 def chain_element_oracle(cores, index):
@@ -202,3 +212,39 @@ class TestInvariants:
             TTTensor([np.ones((1, 2, 2)), np.ones((3, 2, 1))])
         with pytest.raises(ShapeError):
             TTTensor([np.ones((2, 2, 1))])
+
+
+class TestChainGrad:
+    @pytest.mark.parametrize(
+        "modes,ranks",
+        [
+            ((3, 4), (2,)),
+            ((1, 5), (1,)),
+            ((4, 1, 3), (3, 1)),
+            ((2, 3, 2), (1, 3)),
+            ((1, 3, 1, 2), (2, 3, 2)),
+            ((2, 2, 3, 2), (3, 2, 1)),
+        ],
+    )
+    def test_matches_finite_differences(self, modes, ranks):
+        rng = np.random.default_rng(sum(modes) + 10 * sum(ranks))
+        cores = [np.array(c) for c in random_tt(modes, ranks, rng).cores]
+        weight = rng.standard_normal(math.prod(modes))
+
+        def loss():
+            return float(weight @ tt_chain(cores))
+
+        assert_allclose(tt_chain(cores), tt_full(TTTensor(cores)).ravel(), rtol=1e-14)
+        grads = tt_chain_grad(cores, weight)
+        h = 1e-6
+        for core, grad in zip(cores, grads):
+            assert grad.shape == core.shape
+            flat = core.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = loss()
+                flat[i] = orig - h
+                fm = loss()
+                flat[i] = orig
+                assert abs((fp - fm) / (2 * h) - grad.flat[i]) <= 1e-7 * max(1.0, abs(grad.flat[i]))
