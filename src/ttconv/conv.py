@@ -4,7 +4,14 @@ Inputs are W x H x C arrays, kernels l x l x C x S, outputs W' x H' x S with
 W' = W - l + 1 and H' = H - l + 1 (valid convolution, stride 1).  The matrix
 reformulation flattens pixel (x, y) to row ``x + W' * y`` and patch offset
 (i, j, c) to column ``i + l * j + l * l * c`` (all 0-based, first index
-fastest), so that convolution becomes ``Y_mat = X_mat @ K_mat``.
+fastest), so that convolution becomes ``Y_mat = X_mat @ K_mat``.  This is the
+paper's order, kept by ``im2col``, ``kernel_to_matrix`` and
+``matrix_to_kernel``.
+
+The batched patch matrix that training runs on (``im2col_batch``) orders its
+columns channels fastest instead, ``(i * l + j) * C + c``: the C-order
+flattening of an ``(l, l, C, S)`` kernel, so ``k.reshape(-1, S)`` is its
+weight matrix and each patch is copied as contiguous runs of C channels.
 """
 
 from __future__ import annotations
@@ -52,7 +59,8 @@ def im2col_batch(xb, ell: int) -> np.ndarray:
     """Patch matrix of a B x W x H x C batch, of shape (B*W'*H', l*l*C).
 
     Row ``(b*W' + x)*H' + y`` holds the patch of image b at pixel (x, y);
-    columns are ordered as in im2col.
+    column ``(i*l + j)*C + c`` holds X[b, x+i, y+j, c], channels fastest, so
+    the matching weight matrix is ``kernel.reshape(l*l*C, S)``.
     """
     xb = np.asarray(xb, dtype=np.float64)
     if xb.ndim != 4:
@@ -61,31 +69,40 @@ def im2col_batch(xb, ell: int) -> np.ndarray:
     if ell > min(w, h):
         raise ShapeError(f"filter size {ell} exceeds input dims ({w}, {h})")
     wins = sliding_window_view(xb, (ell, ell), axis=(1, 2))  # (B, W', H', C, i, j)
-    cols = np.ascontiguousarray(wins.transpose(0, 1, 2, 3, 5, 4))
+    cols = np.ascontiguousarray(wins.transpose(0, 1, 2, 4, 5, 3))
     return cols.reshape(b * (w - ell + 1) * (h - ell + 1), ell * ell * c)
 
 
 def col2im_batch(dcols, ell: int, in_shape) -> np.ndarray:
-    """Adjoint of im2col_batch: sum patch-matrix rows back onto a batch of shape in_shape."""
+    """Adjoint of im2col_batch: sum patch-matrix rows back onto a batch of shape in_shape.
+
+    Columns are in im2col_batch's channels-fastest order, so each kernel
+    offset (i, j) adds one contiguous (..., C) slab.
+    """
     b, w, h, c = in_shape
     wo, ho = w - ell + 1, h - ell + 1
-    dwin = dcols.reshape(b, wo, ho, c, ell, ell)  # (..., j, i)
+    dwin = dcols.reshape(b, wo, ho, ell, ell, c)
     dx = np.zeros(in_shape)
     for i in range(ell):
         for j in range(ell):
-            dx[:, i : i + wo, j : j + ho, :] += dwin[:, :, :, :, j, i]
+            dx[:, i : i + wo, j : j + ho, :] += dwin[:, :, :, i, j, :]
     return dx
 
 
 def im2col(x, ell: int) -> np.ndarray:
-    """Patch matrix of shape (W'H', l*l*C); row k holds the patch for pixel k."""
+    """Patch matrix of shape (W'H', l*l*C) in the paper's order.
+
+    Row ``x + W'*y`` holds the patch for pixel (x, y); column
+    ``i + l*j + l*l*c`` holds X[x+i, y+j, c].
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"input must be W x H x C, got {x.ndim} dimensions")
     cols = im2col_batch(x[None], ell)
-    # batch rows run y fastest; here row = x + wo*y (x fastest)
-    wo = x.shape[0] - ell + 1
-    return cols.reshape(wo, -1, cols.shape[1]).transpose(1, 0, 2).reshape(-1, cols.shape[1])
+    # batch rows run y fastest and columns c fastest; reverse both orders
+    wo, ho, c = x.shape[0] - ell + 1, x.shape[1] - ell + 1, x.shape[2]
+    patches = cols.reshape(wo, ho, ell, ell, c).transpose(1, 0, 4, 3, 2)
+    return patches.reshape(wo * ho, ell * ell * c)
 
 
 def kernel_to_matrix(k) -> np.ndarray:
@@ -111,10 +128,10 @@ def matrix_to_kernel(mat, ell: int, channels: int) -> np.ndarray:
 
 
 def conv2d_gemm(x, k) -> np.ndarray:
-    """Convolution as one matrix product of patches and kernel_to_matrix(k)."""
+    """Convolution as one matrix product of batched patches and the flattened kernel."""
     x = np.asarray(x, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     _check_conv_shapes(x, k)
     ell = k.shape[0]
-    y_mat = im2col_batch(x[None], ell) @ kernel_to_matrix(k)
+    y_mat = im2col_batch(x[None], ell) @ k.reshape(-1, k.shape[3])
     return y_mat.reshape(x.shape[0] - ell + 1, x.shape[1] - ell + 1, k.shape[3])

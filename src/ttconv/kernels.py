@@ -15,6 +15,8 @@ index within mode k is ``c_k * S_k + s_k``, matching the matrix-TT convention.
 
 The forward convolution multiplies image patches by the kernel matrix that
 ``ttconv_matrix`` rebuilds from the cores; ``ttconv_matrix_grad`` is its VJP.
+That matrix has ``im2col_batch``'s channels-fastest row order; only the small
+kernel matrix is permuted from the chain's order, never the patches.
 
 The naive baseline applies TT-SVD to the raw ``(l, l, C, S)`` tensor.
 """
@@ -248,21 +250,27 @@ def _chain_cores(g0, cores) -> list:
 def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.ndarray:
     """Kernel matrix of cores ``g0`` (l, l, r_1) and (r_k, C_k, S_k, r_{k+1}).
 
-    Rows and columns are as in kernel_to_matrix, limited to the first
-    ``channels`` input channels and the real output channels.
+    The (l, l, channels, S) kernel of the first ``channels`` input channels
+    and the real output channels, flattened in C order to (l*l*channels, S):
+    the weight matrix of ``im2col_batch`` patches.
     """
     ell = g0.shape[0]
     rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
+    # the chain's rows are in kernel_to_matrix's order
     mat = from_compound_tensor(tt_chain(_chain_cores(g0, cores)), rows, cols)
-    return mat[: ell * ell * channels, : fact.channels_out]
+    mat = mat[: ell * ell * channels, : fact.channels_out]
+    return matrix_to_kernel(mat, ell, channels).reshape(mat.shape)
 
 
 def ttconv_matrix_grad(g0, cores, fact: ChannelFactorization, dmat):
     """Gradients (dg0, dcores) of ``sum(dmat * ttconv_matrix(g0, cores, fact, C))``."""
     ell = g0.shape[0]
     rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
-    pads = ((0, ell * ell * fact.c_padded - dmat.shape[0]), (0, fact.s_padded - dmat.shape[1]))
-    dfull = to_compound_tensor(np.pad(dmat, pads), rows, cols)
+    channels, n_out = dmat.shape[0] // (ell * ell), dmat.shape[1]
+    dkernel = np.zeros((ell, ell, fact.c_padded, fact.s_padded), order="F")
+    dkernel[:, :, :channels, :n_out] = dmat.reshape(ell, ell, channels, n_out)
+    # kernel_to_matrix's row i + l*j + l*l*c is the F-order flattening of (i, j, c)
+    dfull = to_compound_tensor(dkernel.reshape((-1, fact.s_padded), order="F"), rows, cols)
     grads = tt_chain_grad(_chain_cores(g0, cores), dfull)
     dg0 = grads[0].reshape(ell, ell, -1).transpose(1, 0, 2)
     return dg0, [g.reshape(core.shape) for g, core in zip(grads[1:], cores)]
@@ -271,7 +279,7 @@ def ttconv_matrix_grad(g0, cores, fact: ChannelFactorization, dmat):
 def ttconv_to_dense(tk: TTConvKernel) -> np.ndarray:
     """Materialize the dense kernel and strip dummy channels."""
     mat = ttconv_matrix(tk.g0, tk.cores, tk.fact, tk.fact.channels_in)
-    return matrix_to_kernel(mat, tk.ell, tk.fact.channels_in)
+    return mat.reshape(tk.ell, tk.ell, tk.fact.channels_in, tk.fact.channels_out)
 
 
 def ttconv_forward_batch(xb, ell, fact, g0, cores, keep_cache=False):

@@ -6,7 +6,14 @@ Layers operate on batches: images are (B, W, H, C) arrays, flat features
 parametrized layers share one body, ``y = patches @ W + b``, and differ only
 in how the weight matrix W is built from their parameters: TT layers keep
 their cores as the parameters, rebuild W from them on every forward pass and
-send dL/dW back to the cores through the gradient of the chain product.
+send dL/dW back to the cores through the gradient of the chain product.  A
+convolution's patches are in ``im2col_batch``'s channels-fastest order, so its
+W is the (l, l, C, S) kernel flattened in C order.
+
+``Network.backward`` only fills the parameter gradients.  Nothing reads the
+gradient of the network input, so the lowest parametrized layer skips its
+input gradient (``backward(dy, input_grad=False)``) and the layers below it
+are not called.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .conv import col2im_batch, im2col_batch, kernel_to_matrix, matrix_to_kernel
+from .conv import col2im_batch, im2col_batch
 from .errors import ShapeError, TrainingDiverged
 from .kernels import factorize_channels, fit_factorization, ttconv_matrix, ttconv_matrix_grad
 from .tt import FULL_ELEMENT_CAP, tt_chain, tt_chain_grad
@@ -140,14 +147,16 @@ class _MatrixLayer(Layer):
         self._cache = (cols, x.shape, w) if train else None
         return y.reshape(out_shape)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         cols, in_shape, w = self._require_cache()
         dy = dy.reshape(cols.shape[0], -1)
-        for g, dp in zip(self.grads, self.weight_grads(cols.T @ dy)):
+        # dW = P^T dY, formed as (dY^T P)^T: on one OpenBLAS thread of a 2-vCPU
+        # x86 VM this order took 18 ms instead of 28 ms for 8192 x 576 patches
+        for g, dp in zip(self.grads, self.weight_grads((dy.T @ cols).T)):
             g[...] = dp
         if self.with_bias:
             self.grads[-1][...] = dy.sum(axis=0)
-        return self._unpatch(dy @ w.T, in_shape)
+        return self._unpatch(dy @ w.T, in_shape) if input_grad else None
 
     @property
     def dense_param_count(self):
@@ -190,10 +199,10 @@ class Conv2D(_ConvLayer):
         return [std * rng.standard_normal((self.ell, self.ell, channels, n_out))]
 
     def weight_matrix(self):
-        return kernel_to_matrix(self.params[0])
+        return self.params[0].reshape(self.weight_shape)
 
     def weight_grads(self, dw):
-        return [matrix_to_kernel(dw, self.ell, self.params[0].shape[2])]
+        return [dw.reshape(self.params[0].shape)]
 
 
 def _scaled_tt_init(rng, shapes, fan_in):
@@ -285,13 +294,10 @@ class NaiveTTConv(_ConvLayer):
         return _scaled_tt_init(rng, shapes, self.ell * self.ell * channels)
 
     def weight_matrix(self):
-        kernel = tt_chain(self._weights())
-        return kernel_to_matrix(
-            kernel.reshape(self.ell, self.ell, self.in_channels, self.out_channels)
-        )
+        return tt_chain(self._weights()).reshape(self.weight_shape)
 
     def weight_grads(self, dw):
-        return tt_chain_grad(self._weights(), matrix_to_kernel(dw, self.ell, self.in_channels))
+        return tt_chain_grad(self._weights(), dw)
 
 
 class Dense(_MatrixLayer):
@@ -437,12 +443,14 @@ class BatchNorm(Layer):
         self._cache = (xhat, inv_std, axes) if train else None
         return gamma * xhat + beta
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         xhat, inv_std, axes = self._require_cache()
         gamma = self.params[0]
         n = math.prod(dy.shape[a] for a in axes)
         self.grads[0][...] = (dy * xhat).sum(axis=axes)
         self.grads[1][...] = dy.sum(axis=axes)
+        if not input_grad:
+            return None
         dxhat = dy * gamma
         return inv_std * (
             dxhat
@@ -517,6 +525,13 @@ class Network:
 
     def forward(self, x, train=False):
         out = np.asarray(x, dtype=np.float64)
+        if self.input_shape is None:
+            raise ShapeError("network is not built")
+        if out.shape[1:] != self.input_shape:
+            raise ShapeError(
+                f"input shape {out.shape[1:]} per sample does not match the build shape "
+                f"{self.input_shape}"
+            )
         for idx, layer in enumerate(self.layers):
             try:
                 out = layer.forward(out, train=train)
@@ -529,10 +544,18 @@ class Network:
         return logits, self.loss.forward(logits, targets, train=train)
 
     def backward(self):
+        """Fill every parameter gradient from the last ``forward_loss(train=True)``.
+
+        The pass stops at the lowest parametrized layer, which skips its
+        input gradient; the layers below it are not called.
+        """
         grad = self.loss.backward()
-        for layer in reversed(self.layers):
+        blocks = self.parameter_blocks()
+        lowest = blocks[0][0] if blocks else len(self.layers)
+        for layer in reversed(self.layers[lowest + 1 :]):
             grad = layer.backward(grad)
-        return grad
+        if blocks:
+            self.layers[lowest].backward(grad, input_grad=False)
 
     # -- flat parameter/gradient views (gradcheck, reporting) ----------------
 
@@ -612,8 +635,21 @@ def gradcheck(net: Network, x, targets, h=1e-6, tol=1e-5, corrupt=False):
     Entries with analytic gradient below 1e-8 in magnitude are compared
     absolutely.  ``corrupt`` deliberately offsets one analytic gradient entry
     (a negative control: the report must flag it).  Returns a list of dicts
-    with keys layer, kind, params, max_rel_err, ok.
+    with keys layer, kind, params, max_rel_err, ok.  Batch-norm running
+    statistics, which every training-mode forward moves, are restored on exit.
     """
+    # BatchNorm.forward rebinds the running stats instead of updating them in
+    # place, so holding the current arrays is a snapshot
+    norms = [layer for layer in net.layers if isinstance(layer, BatchNorm)]
+    stats = [(layer.running_mean, layer.running_var) for layer in norms]
+    try:
+        return _gradcheck(net, x, targets, h, tol, corrupt)
+    finally:
+        for layer, (mean, var) in zip(norms, stats):
+            layer.running_mean, layer.running_var = mean, var
+
+
+def _gradcheck(net, x, targets, h, tol, corrupt):
     x = np.asarray(x, dtype=np.float64)
     net.forward_loss(x, targets, train=True)
     net.backward()

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +278,16 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "layer = warp-drive 3 4\ntrain_size = 8\ntest_size = 8\n")
         code, _, _ = run(capsys, "gradcheck", cfg)
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_help(self, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttconv", "--help"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: ttconv" in proc.stdout

@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ttconv.conv import (
+    col2im_batch,
     conv2d_direct,
     conv2d_gemm,
     im2col,
+    im2col_batch,
     kernel_to_matrix,
     matrix_to_kernel,
 )
@@ -163,3 +165,30 @@ class TestConvGemm:
     def test_output_shape(self):
         y = conv2d_gemm(np.zeros((7, 6, 2)), np.zeros((3, 3, 2, 5)))
         assert y.shape == (5, 4, 5)
+
+
+class TestIm2colBatch:
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, 3, 6])
+    def test_col2im_is_adjoint(self, ell, c):
+        rng = np.random.default_rng(10 * ell + c)
+        x = rng.standard_normal((2, 5, 4, c))
+        d = rng.standard_normal((2 * (5 - ell + 1) * (4 - ell + 1), ell * ell * c))
+        lhs = np.sum(im2col_batch(x, ell) * d)
+        rhs = np.sum(x * col2im_batch(d, ell, x.shape))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_columns_run_channels_fastest(self):
+        x = np.random.default_rng(11).standard_normal((2, 5, 4, 3))
+        cols = im2col_batch(x, 2).reshape(2, 4, 3, 2, 2, 3)
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(cols[:, :, :, i, j, :], x[:, i : i + 4, j : j + 3, :])
+
+    def test_flattened_kernel_is_weight_matrix(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 6, 5, 3))
+        k = rng.standard_normal((3, 3, 3, 4))
+        y = (im2col_batch(x, 3) @ k.reshape(-1, 4)).reshape(2, 4, 3, 4)
+        for b in range(2):
+            assert_allclose(y[b], conv2d_direct(x[b], k), rtol=1e-12, atol=1e-12)

@@ -464,3 +464,90 @@ class TestOversizeGuard:
         net = Network([TTDense(256, ranks=(2, 2), factors=fact)])
         with pytest.raises(ShapeError, match=r"layer 0 \(tt-fc\).*exceeds the cap"):
             net.build((1024, 1024, 1), np.random.default_rng(0))
+
+
+def _parametrized_layer(kind):
+    """A built layer of one parametrized kind and an input batch for it."""
+    layer, in_shape = {
+        "dense-conv": (lambda: Conv2D(3, 4), (5, 5, 3)),
+        "tt-conv": (lambda: TTConv(2, 4, ranks=(2, 2), d=2), (5, 5, 3)),
+        "naive-tt-conv": (lambda: NaiveTTConv(3, 4, ranks=(2, 3, 2)), (5, 5, 3)),
+        "dense-fc": (lambda: Dense(4), (6,)),
+        "tt-fc": (lambda: TTDense(4, ranks=(2, 2), d=2), (6,)),
+        "batch-norm": (lambda: BatchNorm(), (4, 4, 3)),
+    }[kind]
+    layer = layer()
+    layer.build(in_shape, np.random.default_rng(8))
+    x = np.random.default_rng(9).standard_normal((3,) + in_shape)
+    return layer, x
+
+
+class TestSkippedInputGradient:
+    @pytest.mark.parametrize(
+        "kind", ["dense-conv", "tt-conv", "naive-tt-conv", "dense-fc", "tt-fc", "batch-norm"]
+    )
+    def test_parameter_gradients_unchanged(self, kind):
+        layer, x = _parametrized_layer(kind)
+        y = layer.forward(x, train=True)
+        dy = np.random.default_rng(10).standard_normal(y.shape)
+        dx = layer.backward(dy)
+        assert dx.shape == x.shape
+        full = [g.copy() for g in layer.grads]
+        layer.zero_grads()
+        assert layer.backward(dy, input_grad=False) is None
+        for g, ref in zip(layer.grads, full):
+            assert np.array_equal(g, ref)
+
+    def _padded_tt_net(self):
+        net = Network([ZeroPad(1), TTConv(3, 4, ranks=(2, 2), d=2), ReLU(), Dense(2)])
+        net.build((5, 5, 2), np.random.default_rng(3))
+
+        def refuse(dy):
+            raise AssertionError("backward reached a layer below the lowest parametrized one")
+
+        net.layers[0].backward = refuse
+        return net
+
+    def test_network_backward_stops_at_lowest_parametrized_layer(self):
+        net = self._padded_tt_net()
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 5, 5, 2))
+        net.forward_loss(x, np.array([0, 1, 1]), train=True)
+        assert net.backward() is None
+        assert np.any(net.layers[1].grads[0] != 0.0)
+
+    def test_gradcheck_on_padded_net(self):
+        net = self._padded_tt_net()
+        x = np.random.default_rng(5).standard_normal((3, 5, 5, 2))
+        for r in gradcheck(net, x, np.array([1, 0, 1])):
+            assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+
+class TestGradcheckSideEffects:
+    def test_batchnorm_running_stats_untouched(self):
+        net = Network([Conv2D(3, 3), BatchNorm(), ReLU(), Dense(2)])
+        net.build((5, 5, 2), np.random.default_rng(6))
+        rng = np.random.default_rng(7)
+        norm = net.layers[1]
+        norm.running_mean = rng.standard_normal(3)
+        norm.running_var = rng.uniform(0.5, 2.0, 3)
+        mean, var = norm.running_mean.copy(), norm.running_var.copy()
+        x = rng.standard_normal((4, 5, 5, 2))
+        report = gradcheck(net, x, np.array([0, 1, 0, 1]))
+        assert all(r["ok"] for r in report)
+        assert np.array_equal(norm.running_mean, mean)
+        assert np.array_equal(norm.running_var, var)
+
+
+class TestForwardInputShape:
+    def test_wrong_per_sample_shape_names_both(self):
+        net = Network([Conv2D(3, 4), ReLU(), Dense(2)])
+        net.build((6, 6, 1), np.random.default_rng(0))
+        x = np.zeros((2, 7, 6, 1))
+        with pytest.raises(ShapeError, match=r"\(7, 6, 1\).*\(6, 6, 1\)"):
+            net.forward(x)
+
+    def test_unbuilt_network(self):
+        net = Network([Dense(2)])
+        with pytest.raises(ShapeError, match="not built"):
+            net.forward(np.zeros((2, 3)))
