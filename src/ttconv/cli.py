@@ -1,8 +1,9 @@
 """Command-line interface: decompose, reconstruct, gradcheck, train, report.
 
-Exit codes: 0 success, 1 gradcheck tolerance violation, 2 parse failure
-(files, configs, or flags), 3 shape or factor mismatch, 4 file IO failure,
-5 missing training logs.  Numeric output uses 6 significant digits;
+Exit codes: 0 success, 1 numeric check failed (gradcheck tolerance, or a
+training loss that is not finite), 2 parse failure (files, configs, or flags),
+3 shape or factor mismatch, or a tensor too large to materialize, 4 file IO
+failure, 5 missing training logs.  Numeric output uses 6 significant digits;
 compression ratios print with 2 decimals.
 """
 
@@ -22,7 +23,7 @@ from .config import (
     parse_factors,
     parse_int_list,
 )
-from .errors import ShapeError
+from .errors import ShapeError, SizeError, TrainingDiverged
 from .io import FormatError
 from .kernels import (
     TTConvKernel,
@@ -279,9 +280,12 @@ def main(argv=None):
     except (FormatError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except ShapeError as e:
+    except (ShapeError, SizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SHAPE
+    except TrainingDiverged as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,6 +18,8 @@ in memory).  Layouts:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -88,10 +90,16 @@ def _write_values(f, arr, dtype):
     f.write(np.ascontiguousarray(arr, dtype="<f8" if dtype == "f64" else "<f4").tobytes())
 
 
-def _read_values(f, count, np_dtype):
-    itemsize = np.dtype(np_dtype).itemsize
-    arr = np.frombuffer(_read_exact(f, count * itemsize), dtype=np_dtype)
-    return arr.astype(np.float64)
+def _read_values(f, shape, np_dtype):
+    """Read an array of the declared shape, checking its size against the file first."""
+    nbytes = math.prod(shape) * np.dtype(np_dtype).itemsize
+    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"declared shape {tuple(shape)} needs more bytes than the file holds")
+    arr = np.frombuffer(_read_exact(f, nbytes), dtype=np_dtype).astype(np.float64)
+    try:
+        return arr.reshape(shape)
+    except ValueError:  # an empty array with a dimension beyond numpy's limit
+        raise FormatError(f"declared shape {tuple(shape)} is too large") from None
 
 
 # -- dense tensors -----------------------------------------------------------
@@ -110,8 +118,7 @@ def load_dense(path) -> np.ndarray:
         np_dtype = _read_header(f, MAGIC_DENSE)
         d = _read_u32(f)
         dims = _read_u64s(f, d)
-        values = _read_values(f, int(np.prod(dims)), np_dtype)
-        return values.reshape(dims)
+        return _read_values(f, dims, np_dtype)
 
 
 # -- TT tensors --------------------------------------------------------------
@@ -138,8 +145,7 @@ def _read_tt_stream(f) -> TTTensor:
     cores = []
     for k in range(d):
         r_prev, n, r_next = ranks[k], modes[k], ranks[k + 1]
-        values = _read_values(f, r_prev * n * r_next, np_dtype)
-        cores.append(values.reshape(n, r_prev, r_next).transpose(1, 0, 2))
+        cores.append(_read_values(f, (n, r_prev, r_next), np_dtype).transpose(1, 0, 2))
     return TTTensor(cores)
 
 
@@ -200,14 +206,13 @@ def load_ttconv(path) -> TTConvKernel:
         pad_c, pad_s = _read_u32(f, 2)
         ranks = _read_u64s(f, d + 2)
         fact = ChannelFactorization(c_factors, s_factors, pad_c, pad_s)
-        g0 = _read_values(f, ell * ell * ranks[1], np_dtype)
-        g0 = g0.reshape(ell, ell, ranks[1]).transpose(1, 0, 2)
+        g0 = _read_values(f, (ell, ell, ranks[1]), np_dtype).transpose(1, 0, 2)
         cores = []
         for k in range(d):
             r_in, r_out = ranks[k + 1], ranks[k + 2]
             ck, sk = c_factors[k], s_factors[k]
-            values = _read_values(f, r_in * ck * sk * r_out, np_dtype)
-            cores.append(values.reshape(ck, sk, r_in, r_out).transpose(2, 0, 1, 3))
+            values = _read_values(f, (ck, sk, r_in, r_out), np_dtype)
+            cores.append(values.transpose(2, 0, 1, 3))
         return TTConvKernel(ell, fact, g0, cores)
 
 

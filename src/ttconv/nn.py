@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .conv import col2im_batch, im2col_batch
 from .errors import ShapeError, TrainingDiverged
@@ -330,19 +329,33 @@ class TTDense(_ProposedTT, _MatrixLayer):
 
 
 class ReLU(Layer):
+    """Rectifier ``y = max(x, 0)``; NaN propagates, so divergence stays visible.
+
+    Training caches the boolean mask ``y > 0``, not ``y``, and the backward
+    pass is ``dy * mask``.
+    """
+
     kind = "relu"
 
     def forward(self, x, train=False):
-        mask = x > 0
-        self._cache = mask if train else None
-        return np.where(mask, x, 0.0)
+        y = np.maximum(x, 0.0)
+        self._cache = y > 0 if train else None
+        return y
 
     def backward(self, dy):
         return dy * self._require_cache()
 
 
 class MaxPool(Layer):
-    """3x3 max pooling with stride 2; ties resolve to the first window slot."""
+    """3x3 max pooling with stride 2; ties resolve to the first window slot.
+
+    The nine window slots, in order ``i*3 + j`` (i along W, j along H), are
+    strided views of the input, so no window is copied: the forward pass is a
+    running ``np.maximum`` over them, and a window that holds a NaN pools to
+    NaN.  Training caches the input and output; the backward pass walks the
+    slots in the same order and routes each output gradient to the first slot
+    whose value equals the output.  A NaN window routes no gradient.
+    """
 
     kind = "max-pool"
 
@@ -355,24 +368,43 @@ class MaxPool(Layer):
             raise ShapeError(f"input ({w}, {h}) smaller than {self.size}x{self.size} pool")
         return ((w - self.size) // self.stride + 1, (h - self.size) // self.stride + 1, c)
 
+    def _slots(self, a, out_shape):
+        """Window slot (i, j) of every pooling window of ``a``, as strided views."""
+        s = self.stride
+        span_x = s * (out_shape[1] - 1) + 1
+        span_y = s * (out_shape[2] - 1) + 1
+        for i in range(self.size):
+            for j in range(self.size):
+                yield a[:, i : i + span_x : s, j : j + span_y : s]
+
     def forward(self, x, train=False):
         if x.ndim != 4:
             raise ShapeError(f"{self.kind} expects (B, W, H, C) input, got {x.ndim} dims")
-        wins = sliding_window_view(x, (self.size, self.size), axis=(1, 2))
-        wins = wins[:, :: self.stride, :: self.stride]  # (B, nx, ny, C, 3, 3)
-        flat = wins.reshape(wins.shape[:4] + (self.size * self.size,))
-        arg = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        self._cache = (arg, x.shape) if train else None
+        slots = self._slots(x, x.shape[:1] + self.build(x.shape[1:], None))
+        y = next(slots).copy()
+        for v in slots:
+            # on equal values numpy returns the second operand, so y keeps the
+            # earlier slot's bits (this only shows for +0.0 against -0.0)
+            np.maximum(v, y, out=y)
+        self._cache = (x, y) if train else None
         return y
 
     def backward(self, dy):
-        arg, in_shape = self._require_cache()
-        dx = np.zeros(in_shape)
-        bi, xi, yi, ci = np.indices(arg.shape, sparse=True)
-        px = self.stride * xi + arg // self.size
-        py = self.stride * yi + arg % self.size
-        np.add.at(dx, (np.broadcast_to(bi, arg.shape), px, py, np.broadcast_to(ci, arg.shape)), dy)
+        x, y = self._require_cache()
+        hits = np.empty((self.size * self.size,) + y.shape, dtype=bool)
+        free = np.ones(y.shape, dtype=bool)
+        for hit, v in zip(hits, self._slots(x, y.shape)):
+            np.equal(v, y, out=hit)
+            hit &= free
+            free ^= hit
+        # adding the slots last to first sums the gradients a cell gets from
+        # overlapping windows in window order, so dx is bitwise that of a
+        # scatter-add over the windows
+        dx = np.zeros(x.shape)
+        grad = np.empty(y.shape)
+        for hit, dv in zip(hits[::-1], reversed(list(self._slots(dx, y.shape)))):
+            np.multiply(dy, hit, out=grad)
+            dv += grad
         return dx
 
 

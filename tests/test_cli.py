@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -9,7 +10,9 @@ import pytest
 
 from ttconv.cli import main
 from ttconv.io import load_dense, save_dense
+from ttconv.io import save_tt
 from ttconv.kernels import factorize_channels, random_ttconv_kernel, ttconv_to_dense
+from ttconv.tt import FULL_ELEMENT_CAP, TTTensor
 
 
 def run(capsys, *argv):
@@ -185,6 +188,26 @@ class TestReconstruct:
         assert code == 2
 
 
+    def test_oversize_tt_exit_3(self, tmp_path, capsys):
+        modes = (10_000, 10_000, 10)
+        assert 10**9 > FULL_ELEMENT_CAP
+        save_tt(tmp_path / "big.tt", TTTensor([np.ones((1, n, 1)) for n in modes]))
+        out_path = tmp_path / "x.ten"
+        code, _, err = run(capsys, "reconstruct", str(tmp_path / "big.tt"), "-o", str(out_path))
+        assert code == 3
+        assert "cap" in err and "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_declared_size_beyond_file_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "huge.ten"
+        src.write_bytes(
+            b"TTEN" + struct.pack("<3I", 1, 0, 2) + struct.pack("<2Q", 2**40, 2**40) + bytes(8)
+        )
+        code, _, err = run(capsys, "reconstruct", str(src), "-o", str(tmp_path / "x.ten"))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestGradcheck:
     def test_toy_config_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TOY_CONFIG)
@@ -266,6 +289,19 @@ class TestTrainAndReport:
         assert code == 0
         compr_field = out.strip().splitlines()[1].split("|")[2]
         assert len(compr_field.split(".")[1]) == 2
+
+
+    def test_diverging_run_exit_1_without_csv(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, TOY_CONFIG.replace("lr = 0.05", "lr = 1e300").replace("epochs = 2", "epochs = 1")
+        )
+        log_path = tmp_path / "toy.csv"
+        with np.errstate(all="ignore"):
+            code, out, err = run(capsys, "train", cfg, "-o", str(log_path))
+        assert code == 1
+        assert err == "error: training diverged (loss is not finite) at epoch 0\n"
+        assert out == ""
+        assert not log_path.exists()
 
 
 class TestConfigErrors:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -26,6 +28,14 @@ def roundtrip_bytes(tmp_path, name, save, load, obj, dtype):
     again = load(p1)
     save(p2, again, dtype=dtype)
     return p1.read_bytes(), p2.read_bytes(), again
+
+
+def write_huge_dense(path):
+    """A .ten header declaring 2^40 x 2^40 values, followed by only one value."""
+    path.write_bytes(
+        b"TTEN" + struct.pack("<3I", 1, 0, 2) + struct.pack("<2Q", 2**40, 2**40) + bytes(8)
+    )
+    return path
 
 
 class TestDense:
@@ -71,6 +81,12 @@ class TestDense:
         (tmp_path / "cut.ten").write_bytes(p.read_bytes()[:-8])
         with pytest.raises(FormatError):
             load_dense(tmp_path / "cut.ten")
+
+    def test_declared_size_beyond_file(self, tmp_path):
+        # 2^40 x 2^40 wraps np.prod to 0; the loader must refuse it before reading
+        p = write_huge_dense(tmp_path / "huge.ten")
+        with pytest.raises(FormatError, match="more bytes than the file holds"):
+            load_dense(p)
 
 
 class TestTT:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ttconv.config import build_network, load_config
+from ttconv.config import build_network, load_config, load_dataset
 from ttconv.conv import conv2d_direct
 from ttconv.errors import ShapeError, TrainingDiverged
 from ttconv.kernels import (
@@ -551,3 +551,107 @@ class TestForwardInputShape:
         net = Network([Dense(2)])
         with pytest.raises(ShapeError, match="not built"):
             net.forward(np.zeros((2, 3)))
+
+
+def _maxpool_oracle(x, dy):
+    """3x3 stride-2 max pooling by window copies, argmax and np.add.at."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    wins = sliding_window_view(x, (3, 3), axis=(1, 2))[:, ::2, ::2]
+    flat = wins.reshape(wins.shape[:4] + (9,))
+    arg = flat.argmax(axis=-1)
+    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    dx = np.zeros(x.shape)
+    bi, xi, yi, ci = np.indices(arg.shape, sparse=True)
+    px = 2 * xi + arg // 3
+    py = 2 * yi + arg % 3
+    np.add.at(dx, (np.broadcast_to(bi, arg.shape), px, py, np.broadcast_to(ci, arg.shape)), dy)
+    return y, dx
+
+
+def _pool_inputs(rng, shape):
+    """Tie-free values, values rounded to halves (ties, and -0.0 beside +0.0),
+    and a ReLU output with all-zero windows."""
+    tie_free = rng.standard_normal(shape)
+    rounded = np.round(2.0 * rng.standard_normal(shape)) / 2.0
+    relu = ReLU().forward(rng.standard_normal(shape) - 1.0)
+    return {"tie-free": tie_free, "rounded": rounded, "relu": relu}
+
+
+POOL_SIZES = [3, 5, 6, 7, 14, 32]
+
+
+class TestMaxPoolEquivalence:
+    """The strided-view max pool against window copies, argmax and np.add.at."""
+
+    @pytest.mark.parametrize("h", POOL_SIZES)
+    @pytest.mark.parametrize("w", POOL_SIZES)
+    def test_matches_argmax_pool(self, w, h):
+        rng = np.random.default_rng(100 * w + h)
+        for c in (1, 3, 8):
+            for name, x in _pool_inputs(rng, (2, w, h, c)).items():
+                layer = MaxPool()
+                out_shape = (2,) + layer.build((w, h, c), None)
+                dy = rng.standard_normal(out_shape)
+                y_ref, dx_ref = _maxpool_oracle(x, dy)
+                y = layer.forward(x, train=True)
+                assert y.shape == out_shape
+                assert np.array_equal(y.view(np.uint64), y_ref.view(np.uint64)), (name, c)
+                y_eval = layer.forward(x)
+                assert np.array_equal(y_eval.view(np.uint64), y.view(np.uint64)), (name, c)
+                layer.forward(x, train=True)
+                assert np.array_equal(layer.backward(dy).view(np.uint64), dx_ref.view(np.uint64))
+
+    @pytest.mark.parametrize("w,h", [(3, 3), (5, 6), (7, 7)])
+    def test_one_slot_per_window(self, w, h):
+        rng = np.random.default_rng(w * h)
+        for name, x in _pool_inputs(rng, (2, w, h, 3)).items():
+            layer = MaxPool()
+            out_shape = (2,) + layer.build((w, h, 3), None)
+            y = layer.forward(x, train=True)
+            for window in np.ndindex(out_shape):
+                dy = np.zeros(out_shape)
+                dy[window] = 1.0
+                dx = layer.backward(dy)
+                assert np.count_nonzero(dx) == 1 and dx.sum() == 1.0, (name, window)
+                assert x[np.unravel_index(dx.argmax(), dx.shape)] == y[window]
+                assert np.array_equal(dx, _maxpool_oracle(x, dy)[1]), (name, window)
+
+    def test_gradcheck_conv_relu_pool_dense(self):
+        net = Network([Conv2D(3, 4), ReLU(), MaxPool(), Dense(2)])
+        net.build((9, 9, 2), np.random.default_rng(11))
+        x = np.random.default_rng(12).standard_normal((3, 9, 9, 2))
+        report = gradcheck(net, x, np.array([0, 1, 1]))
+        assert [r["kind"] for r in report] == ["dense-conv", "dense-fc"]
+        for r in report:
+            assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+
+class TestNaNPropagation:
+    def test_relu_keeps_nan(self):
+        y = ReLU().forward(np.array([np.nan, -1.0, 2.0]))
+        np.testing.assert_array_equal(y, [np.nan, 0.0, 2.0])
+
+    def test_maxpool_window_with_nan(self):
+        x = np.random.default_rng(14).standard_normal((1, 7, 7, 2))
+        x[0, 0, 0, 0] = np.nan  # in window (0, 0) only
+        x[0, 4, 4, 1] = np.nan  # shared by windows (1, 1), (1, 2), (2, 1), (2, 2)
+        layer = MaxPool()
+        layer.build((7, 7, 2), None)
+        for train in (True, False):
+            y = layer.forward(x, train=train)
+            nan = np.zeros(y.shape, dtype=bool)
+            nan[0, 0, 0, 0] = True
+            nan[0, 1:, 1:, 1] = True
+            assert np.array_equal(np.isnan(y), nan)
+
+    def test_shipped_tt_config_diverges_at_huge_lr(self):
+        cfg = load_config(ROOT / "demos/configs/ttconv.cfg")
+        data = load_dataset(cfg)
+        net = build_network(cfg)
+        net.build(data.input_shape, np.random.default_rng(cfg["init_seed"]))
+        opt = SGDMomentum(lr=1e300, momentum=cfg["momentum"])
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged) as exc:
+                train(net, data, opt, epochs=1, seed=cfg["seed"], batch_size=cfg["batch_size"])
+        assert exc.value.epoch == 0
