@@ -158,9 +158,13 @@ def cmd_train(args):
         decay_every=cfg["decay_every"],
         decay_factor=cfg["decay_factor"],
     )
-    log = run_train(
-        net, data, opt, epochs=cfg["epochs"], seed=cfg["seed"], batch_size=cfg["batch_size"]
-    )
+    # A diverging run overflows before its loss turns non-finite; the
+    # TrainingDiverged error line reports it, so numpy's warnings would only
+    # repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = run_train(
+            net, data, opt, epochs=cfg["epochs"], seed=cfg["seed"], batch_size=cfg["batch_size"]
+        )
     compression = net.dense_param_count / net.param_count
     with open(args.output, "w") as f:
         f.write(format_log_csv(log, name=cfg["name"], compression=compression))

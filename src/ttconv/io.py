@@ -24,6 +24,7 @@ import struct
 
 import numpy as np
 
+from .errors import ShapeError
 from .kernels import ChannelFactorization, TTConvKernel
 from .tt import TTTensor
 from .ttmatrix import TTMatrix
@@ -49,6 +50,14 @@ def _write_u32(f, *values):
 
 def _write_u64s(f, values):
     f.write(struct.pack(f"<{len(values)}Q", *values))
+
+
+def _construct(cls, *fields):
+    """Build a loaded object; fields that do not fit together are a malformed file."""
+    try:
+        return cls(*fields)
+    except ShapeError as e:
+        raise FormatError(str(e)) from e
 
 
 def _read_exact(f, n):
@@ -146,7 +155,7 @@ def _read_tt_stream(f) -> TTTensor:
     for k in range(d):
         r_prev, n, r_next = ranks[k], modes[k], ranks[k + 1]
         cores.append(_read_values(f, (n, r_prev, r_next), np_dtype).transpose(1, 0, 2))
-    return TTTensor(cores)
+    return _construct(TTTensor, cores)
 
 
 def save_tt(path, tt: TTTensor, dtype="f64"):
@@ -177,7 +186,7 @@ def load_ttmatrix(path) -> TTMatrix:
         row_factors = _read_u64s(f, d)
         col_factors = _read_u64s(f, d)
         tt = _read_tt_stream(f)
-        return TTMatrix(tt, row_factors, col_factors)
+        return _construct(TTMatrix, tt, row_factors, col_factors)
 
 
 # -- TT convolution kernels --------------------------------------------------
@@ -205,7 +214,9 @@ def load_ttconv(path) -> TTConvKernel:
         s_factors = _read_u64s(f, d)
         pad_c, pad_s = _read_u32(f, 2)
         ranks = _read_u64s(f, d + 2)
-        fact = ChannelFactorization(c_factors, s_factors, pad_c, pad_s)
+        if ranks[0] != 1:  # implicit in TTConvKernel, so only the file can get it wrong
+            raise FormatError("boundary TT-ranks must equal 1")
+        fact = _construct(ChannelFactorization, c_factors, s_factors, pad_c, pad_s)
         g0 = _read_values(f, (ell, ell, ranks[1]), np_dtype).transpose(1, 0, 2)
         cores = []
         for k in range(d):
@@ -213,7 +224,7 @@ def load_ttconv(path) -> TTConvKernel:
             ck, sk = c_factors[k], s_factors[k]
             values = _read_values(f, (ck, sk, r_in, r_out), np_dtype)
             cores.append(values.transpose(2, 0, 1, 3))
-        return TTConvKernel(ell, fact, g0, cores)
+        return _construct(TTConvKernel, ell, fact, g0, cores)
 
 
 # -- format dispatch ---------------------------------------------------------

@@ -167,6 +167,8 @@ class TTConvKernel:
     def __init__(self, ell: int, fact: ChannelFactorization, g0, cores):
         g0 = np.array(g0, dtype=np.float64)
         cores = [np.array(c, dtype=np.float64) for c in cores]
+        if ell < 1:
+            raise ShapeError(f"spatial size l must be at least 1, got {ell}")
         if g0.ndim != 3 or g0.shape[0] != g0.shape[1] or g0.shape[0] != ell:
             raise ShapeError(f"spatial core must be {ell} x {ell} x r1, got {g0.shape}")
         if len(cores) != fact.depth:

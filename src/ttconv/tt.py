@@ -158,7 +158,21 @@ def tt_svd(a, max_ranks=None, tol: float | None = None) -> TTTensor:
     (relative Frobenius error budget in (0, 1)) must be given.  With ``tol``,
     each of the d-1 unfoldings is truncated at threshold
     ``tol * ||a||_F / sqrt(d-1)``, which bounds the total relative error by
-    ``tol``.  A zero tensor returns an all-ranks-1 TT with zero cores.
+    ``tol`` (Oseledets 2011, Thm 2.2).  A zero tensor returns an all-ranks-1
+    TT with zero cores.
+
+    No unfolding is decomposed in full.  A Householder QR of its long side
+    leaves a small triangle R with the same singular values, and only R gets
+    an SVD (Chan's R-SVD): a wide unfolding is projected onto the kept left
+    singular vectors, a tall one onto the kept right singular vectors and
+    re-orthonormalized by a thin QR.  Every core but the last is therefore
+    left-orthonormal, and the ranks and the error are those of the sweep
+    that takes a full SVD of each unfolding; cores may differ from it in
+    column signs.  One exception, under ``max_ranks`` only: an exactly zero
+    singular value (a zero slice gives one) comes out of LAPACK as 0.0 or as
+    rounding noise depending on the path it takes, in either sweep, so a
+    direction that carries nothing may be kept by one sweep and dropped by
+    the other.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.size == 0:
@@ -188,14 +202,24 @@ def tt_svd(a, max_ranks=None, tol: float | None = None) -> TTTensor:
     rest = a
     for k in range(d - 1):
         mat = rest.reshape(r_prev * shape[k], -1)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        # mat^T = Q R (wide) or mat = Q R (tall); Q is never formed.
+        wide = mat.shape[0] <= mat.shape[1]
+        if wide:
+            u, s, _ = np.linalg.svd(np.linalg.qr(mat.T, mode="r").T)
+        else:
+            _, s, vt = np.linalg.svd(np.linalg.qr(mat, mode="r"))
         if max_ranks is not None:
             r = min(max_ranks[k], int(np.count_nonzero(s)))
         else:
             r = _truncation_rank(s, budget)
         r = max(r, 1)
-        cores.append(u[:, :r].reshape(r_prev, shape[k], r))
-        rest = s[:r, None] * vt[:r]
+        if wide:
+            core = u[:, :r]
+            rest = core.T @ mat
+        else:
+            core, t = np.linalg.qr(mat @ vt[:r].T)
+            rest = t @ vt[:r]
+        cores.append(core.reshape(r_prev, shape[k], r))
         r_prev = r
     cores.append(rest.reshape(r_prev, shape[-1], 1))
     return TTTensor(cores)

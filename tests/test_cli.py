@@ -208,6 +208,67 @@ class TestReconstruct:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def tt_stream(modes, ranks):
+    """Bytes of a ``.tt`` stream with these header fields and zero cores."""
+    count = sum(n * ranks[k] * ranks[k + 1] for k, n in enumerate(modes))
+    return (
+        b"TTTN" + struct.pack("<3I", 1, 0, len(modes)) + struct.pack(f"<{len(modes)}Q", *modes)
+        + struct.pack(f"<{len(ranks)}Q", *ranks) + bytes(8 * count)
+    )
+
+
+class TestMalformedContainers:
+    """Fields that parse but do not fit together are a parse failure (exit 2)."""
+
+    def reconstruct(self, capsys, tmp_path, name, data):
+        src = tmp_path / name
+        src.write_bytes(data)
+        out_path = tmp_path / "x.ten"
+        code, _, err = run(capsys, "reconstruct", str(src), "-o", str(out_path))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out_path.exists()
+        return err
+
+    def test_tt_boundary_rank_not_one(self, tmp_path, capsys):
+        err = self.reconstruct(capsys, tmp_path, "a.tt", tt_stream((2, 3), (2, 2, 1)))
+        assert "boundary TT-ranks must equal 1" in err
+
+    def test_ttcv_first_rank_not_one(self, tmp_path, capsys):
+        # l = 1, d = 1, C = S = 2, no padding; ranks (2, 1, 1)
+        data = (
+            b"TTCV" + struct.pack("<4I", 1, 0, 1, 1) + struct.pack("<2Q", 2, 2)
+            + struct.pack("<2I", 0, 0) + struct.pack("<3Q", 2, 1, 1) + bytes(8 * (1 + 4))
+        )
+        err = self.reconstruct(capsys, tmp_path, "a.ttcv", data)
+        assert "boundary TT-ranks must equal 1" in err
+
+    def test_ttcv_rank_chain_not_closed(self, tmp_path, capsys):
+        # l = 1, d = 1, C = S = 2, no padding; ranks (1, 1, 2): the chain ends at 2
+        data = (
+            b"TTCV" + struct.pack("<4I", 1, 0, 1, 1) + struct.pack("<2Q", 2, 2)
+            + struct.pack("<2I", 0, 0) + struct.pack("<3Q", 1, 1, 2) + bytes(8 * (1 + 8))
+        )
+        err = self.reconstruct(capsys, tmp_path, "a.ttcv", data)
+        assert "final TT-rank must equal 1" in err
+
+    def test_ttm_factors_do_not_match_modes(self, tmp_path, capsys):
+        data = (
+            b"TTMX" + struct.pack("<3I", 1, 0, 2) + struct.pack("<2Q", 2, 2)
+            + struct.pack("<2Q", 2, 3) + tt_stream((4, 4), (1, 1, 1))
+        )
+        err = self.reconstruct(capsys, tmp_path, "a.ttm", data)
+        assert "mode 1 has size 4, expected 2*3" in err
+
+    def test_ttcv_spatial_size_zero(self, tmp_path, capsys):
+        data = (
+            b"TTCV" + struct.pack("<4I", 1, 0, 0, 1) + struct.pack("<2Q", 2, 2)
+            + struct.pack("<2I", 0, 0) + struct.pack("<3Q", 1, 1, 1) + bytes(8 * 4)
+        )
+        err = self.reconstruct(capsys, tmp_path, "a.ttcv", data)
+        assert "l must be at least 1, got 0" in err
+
+
 class TestGradcheck:
     def test_toy_config_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TOY_CONFIG)
@@ -302,6 +363,22 @@ class TestTrainAndReport:
         assert err == "error: training diverged (loss is not finite) at epoch 0\n"
         assert out == ""
         assert not log_path.exists()
+
+
+    def test_diverging_run_prints_only_its_error_line(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            TOY_CONFIG.replace("lr = 0.05", "lr = 1e300").replace("epochs = 2", "epochs = 1"),
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttconv", "train", cfg, "-o", str(tmp_path / "toy.csv")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: training diverged (loss is not finite) at epoch 0\n"
 
 
 class TestConfigErrors:

@@ -152,6 +152,16 @@ class TestTTConv:
         b1, b2, _ = roundtrip_bytes(tmp_path, "t.ttcv", save_ttconv, load_ttconv, tk, "f64")
         assert b1 == b2
 
+    def test_spatial_size_zero_is_format_error(self, tmp_path):
+        p = tmp_path / "t.ttcv"
+        rng = np.random.default_rng(0)
+        save_ttconv(p, random_ttconv_kernel(1, factorize_channels(2, 2, 1), (1,), rng))
+        data = bytearray(p.read_bytes())
+        data[12:16] = struct.pack("<I", 0)  # l follows magic, version and dtype
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="l must be at least 1, got 0"):
+            load_ttconv(p)
+
     def test_depth_1_and_3_kernels(self, tmp_path):
         rng = np.random.default_rng(11)
         for d, ranks in ((1, (3,)), (3, (2, 3, 2))):

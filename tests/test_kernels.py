@@ -136,6 +136,11 @@ class TestFromToDense:
         )
         assert_allclose(ttconv_to_dense(tk), np.ones((2, 2, 1, 1)))
 
+    def test_spatial_size_zero_rejected(self):
+        fact = ChannelFactorization((1,), (1,))
+        with pytest.raises(ShapeError, match="l must be at least 1"):
+            TTConvKernel(0, fact, np.ones((0, 0, 1)), [np.ones((1, 1, 1, 1))])
+
     def test_factorization_mismatch(self):
         fact = ChannelFactorization((2, 2), (2, 2))
         with pytest.raises(ShapeError):

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ttconv.errors import ShapeError, SizeError
 from ttconv.tt import (
     TTTensor,
+    _truncation_rank,
     random_tt,
     tt_chain,
     tt_chain_grad,
@@ -248,3 +251,127 @@ class TestChainGrad:
                 fm = loss()
                 flat[i] = orig
                 assert abs((fp - fm) / (2 * h) - grad.flat[i]) <= 1e-7 * max(1.0, abs(grad.flat[i]))
+
+
+def full_svd_sweep(a, max_ranks=None, tol=None):
+    """TT-SVD taking a full SVD of every unfolding: the oracle for tt_svd."""
+    a = np.asarray(a, dtype=np.float64)
+    d, shape = a.ndim, a.shape
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        return TTTensor([np.zeros((1, n, 1)) for n in shape])
+    budget = tol * norm / math.sqrt(d - 1) if (tol is not None and d > 1) else 0.0
+    cores = []
+    r_prev = 1
+    rest = a
+    for k in range(d - 1):
+        mat = rest.reshape(r_prev * shape[k], -1)
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        if max_ranks is not None:
+            r = min(max_ranks[k], int(np.count_nonzero(s)))
+        else:
+            r = _truncation_rank(s, budget)
+        r = max(r, 1)
+        cores.append(u[:, :r].reshape(r_prev, shape[k], r))
+        rest = s[:r, None] * vt[:r]
+        r_prev = r
+    cores.append(rest.reshape(r_prev, shape[-1], 1))
+    return TTTensor(cores)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A dense tensor of order 1-5 with modes 1-9, and a rank cap or a tol.
+
+    The entries come from a drawn seed.  The spectrum is flat, graded down to
+    1e-13 along every mode, or that of a low-rank TT (so caps lie above the
+    numerical rank); up to two slices are zeroed.
+    """
+    modes = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spectrum = draw(st.sampled_from(["flat", "graded", "low-rank"]))
+    d = len(modes)
+    if spectrum == "low-rank":
+        a = np.array(tt_full(random_tt(modes, rng.integers(1, 4, size=d - 1), rng)))
+    else:
+        a = rng.standard_normal(modes)
+    if spectrum == "graded":
+        for k, n in enumerate(modes):
+            grade = rng.permutation(np.logspace(0, -13, n)) if n > 1 else np.ones(1)
+            a = a * grade.reshape((1,) * k + (n,) + (1,) * (d - k - 1))
+    for axis, j in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8)), max_size=2)):
+        axis %= d
+        index = [slice(None)] * d
+        index[axis] = j % modes[axis]
+        a[tuple(index)] = 0.0
+    if draw(st.booleans()):
+        return a, {"tol": draw(st.sampled_from([0.3, 1e-3, 1e-9, 1e-12]))}
+    caps = draw(st.lists(st.integers(1, 100), min_size=d - 1, max_size=d - 1))
+    return a, {"max_ranks": tuple(caps)}
+
+
+def unfolding_kinds(tt):
+    """'wide', 'tall' or 'square' for each unfolding the sweep decomposed."""
+    kinds = []
+    for k, core in enumerate(tt.cores[:-1]):
+        rows, cols = core.shape[0] * core.shape[1], math.prod(tt.mode_sizes[k + 1 :])
+        kinds.append("square" if rows == cols else "wide" if rows < cols else "tall")
+    return kinds
+
+
+class TestSweepAgainstFullSVD:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(sweep_inputs())
+    @example((np.arange(1.0, 19.0).reshape(9, 2), {"max_ranks": (5,)}))
+    @example((np.arange(1.0, 19.0).reshape(2, 9), {"tol": 1e-12}))
+    @example((np.eye(4).reshape(2, 2, 2, 2), {"max_ranks": (9, 9, 9)}))
+    def test_ranks_error_and_orthonormality_match_oracle(self, case):
+        a, kwargs = case
+        tt = tt_svd(a, **kwargs)
+        ref = full_svd_sweep(a, **kwargs)
+        norm = np.linalg.norm(a)
+        err = np.linalg.norm(a - tt_full(tt))
+        assert abs(err - np.linalg.norm(a - tt_full(ref))) <= 1e-12 * norm
+        if "tol" in kwargs:
+            assert err <= kwargs["tol"] * norm
+            assert tt.ranks == ref.ranks
+        elif tt.ranks != ref.ranks:
+            # An unfolding with an exactly zero singular value (a zero slice)
+            # gets it from LAPACK as 0.0 or as ~1e-17 depending on its internal
+            # path, so count_nonzero keeps or drops that direction by rounding.
+            # A rank may then differ only by directions that carry nothing.
+            for k in range(1, a.ndim):
+                low = min(tt.ranks[k], ref.ranks[k])
+                for t in (tt, ref):
+                    sv = np.linalg.svd(
+                        tt_full(t).reshape(math.prod(a.shape[:k]), -1), compute_uv=False
+                    )
+                    assert np.all(sv[low:] <= 1e-14 * norm)
+        if norm == 0.0:
+            return
+        for core in tt.cores[:-1]:
+            q = core.reshape(-1, core.shape[2])
+            assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "modes,kinds",
+        [
+            ((3, 8), ["wide"]),
+            ((8, 3), ["tall"]),
+            ((4, 4), ["square"]),
+            ((2, 9, 2), ["wide", "tall"]),
+        ],
+    )
+    def test_wide_tall_and_square_unfoldings(self, modes, kinds):
+        a = np.random.default_rng(sum(modes)).standard_normal(modes)
+        caps = tuple(100 for _ in modes[1:])
+        tt = tt_svd(a, max_ranks=caps)
+        ref = full_svd_sweep(a, max_ranks=caps)
+        assert unfolding_kinds(tt) == kinds
+        assert tt.ranks == ref.ranks
+        assert rel_err(a, tt_full(tt)) <= 1e-13
