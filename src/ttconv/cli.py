@@ -124,6 +124,10 @@ def cmd_reconstruct(args):
 
 
 def cmd_gradcheck(args):
+    if not args.h > 0:
+        raise ValueError(f"--h must be positive, got {args.h}")
+    if args.batch < 1:
+        raise ValueError(f"--batch must be at least 1, got {args.batch}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -165,7 +169,7 @@ def cmd_train(args):
         log = run_train(
             net, data, opt, epochs=cfg["epochs"], seed=cfg["seed"], batch_size=cfg["batch_size"]
         )
-    compression = net.dense_param_count / net.param_count
+    compression = net.compression
     with open(args.output, "w") as f:
         f.write(format_log_csv(log, name=cfg["name"], compression=compression))
     final_acc = 100.0 * log[-1]["test_acc"]

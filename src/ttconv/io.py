@@ -60,7 +60,11 @@ def _construct(cls, *fields):
         raise FormatError(str(e)) from e
 
 
-def _read_exact(f, n):
+def _read_exact(f, n, what="the next field"):
+    """Read n bytes, checking n against the bytes left in the file before the read
+    allocates them, so a corrupt count or shape cannot request more memory."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"{what} needs more bytes than the file holds")
     data = f.read(n)
     if len(data) != n:
         raise FormatError("unexpected end of file")
@@ -100,11 +104,10 @@ def _write_values(f, arr, dtype):
 
 
 def _read_values(f, shape, np_dtype):
-    """Read an array of the declared shape, checking its size against the file first."""
+    """Read an array of the declared shape."""
     nbytes = math.prod(shape) * np.dtype(np_dtype).itemsize
-    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
-        raise FormatError(f"declared shape {tuple(shape)} needs more bytes than the file holds")
-    arr = np.frombuffer(_read_exact(f, nbytes), dtype=np_dtype).astype(np.float64)
+    data = _read_exact(f, nbytes, f"declared shape {tuple(shape)}")
+    arr = np.frombuffer(data, dtype=np_dtype).astype(np.float64)
     try:
         return arr.reshape(shape)
     except ValueError:  # an empty array with a dimension beyond numpy's limit

@@ -1,22 +1,21 @@
 """TT-convolutional kernels: the reshaped higher-order decomposition and the
 naive direct decomposition of a 4-way convolution kernel.
 
-The proposed form flattens an ``l x l x C x S`` kernel to its ``(l*l*C, S)``
-matrix, factorizes channels as ``C = prod(C_k)`` and ``S = prod(S_k)`` (padding
-with zero channels when needed), reshapes the matrix into a (d+1)-mode tensor
-with mode 0 of size ``l*l`` and mode k of size ``C_k * S_k``, and runs TT-SVD.
-Chain entries reconstruct the kernel as
+The proposed form factorizes channels as ``C = prod(C_k)`` and ``S = prod(S_k)``
+(padding with zero channels when needed), reshapes the padded ``l x l x C x S``
+kernel into a (d+1)-mode tensor with mode 0 of size ``l*l`` and mode k of size
+``C_k * S_k``, and runs TT-SVD.  Chain entries reconstruct the kernel as
 
     K[x, y, c', s'] = G0[x, y] @ G1[c_1, s_1] @ ... @ Gd[c_d, s_d]
 
 where ``c'`` and ``s'`` are little-endian mixed-radix flattenings of the digit
-vectors and the spatial slice index is ``x + l * y``.  The compound slice
-index within mode k is ``c_k * S_k + s_k``, matching the matrix-TT convention.
-
-The forward convolution multiplies image patches by the kernel matrix that
+vectors, the spatial slice index is ``x + l * y`` and the compound slice index
+within mode k is ``c_k * S_k + s_k``, matching the matrix-TT convention.  The
+chain's entries are thus in C order of the digits (y, x, c_1, s_1, ..., c_d,
+s_d), the kernel's in C order of (x, y, c_d..c_1, s_d..s_1): one permutation,
+from ``_kernel_layout``, maps either to the other.  The forward convolution
+multiplies ``im2col_batch`` patches by the kernel flattened in C order, which
 ``ttconv_matrix`` rebuilds from the cores; ``ttconv_matrix_grad`` is its VJP.
-That matrix has ``im2col_batch``'s channels-fastest row order; only the small
-kernel matrix is permuted from the chain's order, never the patches.
 
 The naive baseline applies TT-SVD to the raw ``(l, l, C, S)`` tensor.
 """
@@ -28,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import col2im_batch, conv2d_direct, im2col_batch, kernel_to_matrix, matrix_to_kernel
+from .conv import conv2d_direct, conv2d_gemm
 from .errors import ShapeError
 from .tt import TTTensor, tt_chain, tt_chain_grad, tt_full, tt_param_count, tt_svd
-from .ttmatrix import TTMatrix, from_compound_tensor, to_compound_tensor
+from .ttmatrix import TTMatrix
 
 
 @dataclass(frozen=True)
@@ -225,13 +224,12 @@ def ttconv_from_dense(kernel, fact: ChannelFactorization, max_ranks=None, tol=No
             f"({fact.channels_in}, {fact.channels_out})"
         )
     ell = kernel.shape[0]
-    mat = kernel_to_matrix(np.pad(kernel, ((0, 0), (0, 0), (0, fact.pad_c), (0, fact.pad_s))))
-    tensor = to_compound_tensor(
-        mat, (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
-    )
+    digits, axes = _kernel_layout(ell, fact)
+    padded = np.pad(kernel, ((0, 0), (0, 0), (0, fact.pad_c), (0, fact.pad_s)))
+    modes = (ell * ell,) + tuple(c * s for c, s in zip(fact.c_factors, fact.s_factors))
+    tensor = padded.reshape([digits[a] for a in axes]).transpose(np.argsort(axes)).reshape(modes)
     tt = tt_svd(tensor, max_ranks=max_ranks, tol=tol)
-    r1 = tt.ranks[1]
-    g0 = tt.cores[0].reshape(ell, ell, r1).transpose(1, 0, 2)
+    g0 = tt.cores[0].reshape(ell, ell, -1).transpose(1, 0, 2)
     cores = [
         core.reshape(core.shape[0], ck, sk, core.shape[2])
         for core, ck, sk in zip(tt.cores[1:], fact.c_factors, fact.s_factors)
@@ -249,6 +247,15 @@ def _chain_cores(g0, cores) -> list:
     return chain
 
 
+def _kernel_layout(ell, fact: ChannelFactorization):
+    """Digit shape (y, x, c_1, s_1, ..., c_d, s_d) of the chain's entries, and the
+    axes that order those digits as the padded kernel's (x, y, c_d..c_1, s_d..s_1)."""
+    d = fact.depth
+    digits = (ell, ell) + tuple(f for pair in zip(fact.c_factors, fact.s_factors) for f in pair)
+    axes = (1, 0) + tuple(range(2 * d, 0, -2)) + tuple(range(2 * d + 1, 1, -2))
+    return digits, axes
+
+
 def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.ndarray:
     """Kernel matrix of cores ``g0`` (l, l, r_1) and (r_k, C_k, S_k, r_{k+1}).
 
@@ -257,22 +264,22 @@ def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.nd
     the weight matrix of ``im2col_batch`` patches.
     """
     ell = g0.shape[0]
-    rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
-    # the chain's rows are in kernel_to_matrix's order
-    mat = from_compound_tensor(tt_chain(_chain_cores(g0, cores)), rows, cols)
-    mat = mat[: ell * ell * channels, : fact.channels_out]
-    return matrix_to_kernel(mat, ell, channels).reshape(mat.shape)
+    digits, axes = _kernel_layout(ell, fact)
+    kernel = tt_chain(_chain_cores(g0, cores)).reshape(digits).transpose(axes)
+    kernel = kernel.reshape(ell, ell, fact.c_padded, fact.s_padded)
+    return kernel[:, :, :channels, : fact.channels_out].reshape(-1, fact.channels_out)
 
 
 def ttconv_matrix_grad(g0, cores, fact: ChannelFactorization, dmat):
     """Gradients (dg0, dcores) of ``sum(dmat * ttconv_matrix(g0, cores, fact, C))``."""
     ell = g0.shape[0]
-    rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
+    digits, axes = _kernel_layout(ell, fact)
     channels, n_out = dmat.shape[0] // (ell * ell), dmat.shape[1]
-    dkernel = np.zeros((ell, ell, fact.c_padded, fact.s_padded), order="F")
-    dkernel[:, :, :channels, :n_out] = dmat.reshape(ell, ell, channels, n_out)
-    # kernel_to_matrix's row i + l*j + l*l*c is the F-order flattening of (i, j, c)
-    dfull = to_compound_tensor(dkernel.reshape((-1, fact.s_padded), order="F"), rows, cols)
+    dkernel = dmat.reshape(ell, ell, channels, n_out)
+    if (channels, n_out) != (fact.c_padded, fact.s_padded):
+        widths = ((0, 0), (0, 0), (0, fact.c_padded - channels), (0, fact.s_padded - n_out))
+        dkernel = np.pad(dkernel, widths)
+    dfull = dkernel.reshape([digits[a] for a in axes]).transpose(np.argsort(axes)).reshape(-1)
     grads = tt_chain_grad(_chain_cores(g0, cores), dfull)
     dg0 = grads[0].reshape(ell, ell, -1).transpose(1, 0, 2)
     return dg0, [g.reshape(core.shape) for g, core in zip(grads[1:], cores)]
@@ -284,37 +291,9 @@ def ttconv_to_dense(tk: TTConvKernel) -> np.ndarray:
     return mat.reshape(tk.ell, tk.ell, tk.fact.channels_in, tk.fact.channels_out)
 
 
-def ttconv_forward_batch(xb, ell, fact, g0, cores, keep_cache=False):
-    """Batched forward convolution: image patches times the kernel matrix.
-
-    xb has shape (B, W, H, C) with C <= C_padded; channels beyond C count as
-    zeros.  Returns (yb, cache); cache is None unless keep_cache.
-    """
-    cols = im2col_batch(xb, ell)
-    b, w, h, c_in = np.shape(xb)
-    if c_in > fact.c_padded:
-        raise ShapeError(f"input has {c_in} channels, factorization caps at {fact.c_padded}")
-    mat = ttconv_matrix(g0, cores, fact, c_in)
-    yb = (cols @ mat).reshape(b, w - ell + 1, h - ell + 1, fact.channels_out)
-    cache = (cols, mat, np.shape(xb), fact, g0, cores) if keep_cache else None
-    return yb, cache
-
-
-def ttconv_backward_batch(cache, dyb):
-    """Gradients of the batched convolution: (dxb, dg0, dcores)."""
-    cols, mat, in_shape, fact, g0, cores = cache
-    dy = np.asarray(dyb, dtype=np.float64).reshape(-1, mat.shape[1])
-    dg0, dcores = ttconv_matrix_grad(g0, cores, fact, cols.T @ dy)
-    return col2im_batch(dy @ mat.T, g0.shape[0], in_shape), dg0, dcores
-
-
 def ttconv_forward(x, tk: TTConvKernel) -> np.ndarray:
     """Forward convolution of a single W x H x C input with a TT kernel."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"input must be W x H x C, got {x.ndim} dimensions")
-    yb, _ = ttconv_forward_batch(x[None], tk.ell, tk.fact, tk.g0, tk.cores)
-    return yb[0]
+    return conv2d_gemm(x, ttconv_to_dense(tk))
 
 
 def ttconv_to_ttmatrix(tk: TTConvKernel) -> TTMatrix:

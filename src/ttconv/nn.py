@@ -276,7 +276,6 @@ class NaiveTTConv(_ConvLayer):
     """
 
     kind = "naive-tt-conv"
-    in_channels = None
 
     def __init__(self, ell, out_channels, ranks, bias=True):
         super().__init__(ell, out_channels, bias)
@@ -286,7 +285,6 @@ class NaiveTTConv(_ConvLayer):
         if len(self.ranks) != 3:
             raise ShapeError("naive TT kernel has 4 modes and needs 3 interior ranks")
         _check_dense_size(self.ell * self.ell * channels * n_out)
-        self.in_channels = channels
         modes = (self.ell, self.ell, channels, n_out)
         chain = (1,) + self.ranks + (1,)
         shapes = [(chain[k], modes[k], chain[k + 1]) for k in range(4)]
@@ -667,7 +665,8 @@ def gradcheck(net: Network, x, targets, h=1e-6, tol=1e-5, corrupt=False):
     Entries with analytic gradient below 1e-8 in magnitude are compared
     absolutely.  ``corrupt`` deliberately offsets one analytic gradient entry
     (a negative control: the report must flag it).  Returns a list of dicts
-    with keys layer, kind, params, max_rel_err, ok.  Batch-norm running
+    with keys layer, kind, params, max_rel_err, ok; a non-finite error makes
+    its row's max_rel_err non-finite and ok False.  Batch-norm running
     statistics, which every training-mode forward moves, are restored on exit.
     """
     # BatchNorm.forward rebinds the running stats instead of updating them in
@@ -701,7 +700,7 @@ def _gradcheck(net, x, targets, h, tol, corrupt):
     report = []
     offset = 0
     for idx, layer in net.parameter_blocks():
-        worst = 0.0
+        errs = []
         count = sum(p.size for p in layer.params)
         for i in range(offset, offset + count):
             flat[i] = base[i] + h
@@ -715,8 +714,9 @@ def _gradcheck(net, x, targets, h, tol, corrupt):
                 err = abs(fd - a)
             else:
                 err = abs(fd - a) / abs(a)
-            worst = max(worst, err)
+            errs.append(err)
         offset += count
+        worst = float(np.max(errs))  # unlike max(), np.max keeps a NaN
         report.append(
             {
                 "layer": idx,

@@ -285,6 +285,16 @@ class TestGradcheck:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flag,value", [("--h", "0"), ("--h", "-0.5"), ("--h", "nan"),
+                                            ("--batch", "0"), ("--batch", "-3")])
+    def test_bad_step_or_batch_exit_2(self, tmp_path, capsys, flag, value):
+        # --h 0 made every row pass; --batch -3 checked all but the last 3 images
+        cfg = write_config(tmp_path, TOY_CONFIG)
+        code, out, err = run(capsys, "gradcheck", cfg, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be")
+
     def test_empty_net_empty_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "name = empty\ntrain_size = 8\ntest_size = 8\n")
         code, out, _ = run(capsys, "gradcheck", cfg)

@@ -1,7 +1,15 @@
+import math
+import os
 import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ttconv.io import (
@@ -16,7 +24,7 @@ from ttconv.io import (
     save_ttconv,
     save_ttmatrix,
 )
-from ttconv.kernels import factorize_channels, random_ttconv_kernel
+from ttconv.kernels import ChannelFactorization, factorize_channels, random_ttconv_kernel
 from ttconv.tt import random_tt, tt_full
 from ttconv.ttmatrix import TTMatrix, ttm_full
 
@@ -189,3 +197,106 @@ class TestLoadAny:
         p.write_bytes(b"ABCD1234")
         with pytest.raises(FormatError):
             load_any(p)
+
+
+# -- loader fuzzing ----------------------------------------------------------
+# fuzz_* are not collected: they run only in the address-space-limited child of
+# test_loader_fuzz_under_address_space_limit, where a loader that allocates
+# before checking a declared size fails with MemoryError instead.
+
+SAVERS = {"ten": save_dense, "tt": save_tt, "ttm": save_ttmatrix, "ttcv": save_ttconv}
+FUZZ_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def containers(draw):
+    """A random valid container: (kind, object, storage dtype)."""
+    kind = draw(st.sampled_from(sorted(SAVERS)))
+    dtype = draw(st.sampled_from(["f64", "f32"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    factors = st.lists(st.integers(1, 4), min_size=d, max_size=d)
+    if kind == "ten":
+        shape = draw(st.lists(st.integers(0, 4), max_size=4))
+        return kind, rng.standard_normal(shape), dtype
+    if kind == "ttcv":
+        c, s = draw(factors), draw(factors)
+        pad_c = draw(st.integers(0, math.prod(c) - 1))
+        pad_s = draw(st.integers(0, math.prod(s) - 1))
+        fact = ChannelFactorization(c, s, pad_c, pad_s)
+        ell = draw(st.integers(1, 3))
+        return kind, random_ttconv_kernel(ell, fact, draw(factors), rng), dtype
+    rows, cols = draw(factors), draw(factors)
+    tt = random_tt([m * n for m, n in zip(rows, cols)], draw(factors)[1:], rng)
+    return kind, (tt if kind == "tt" else TTMatrix(tt, rows, cols)), dtype
+
+
+@FUZZ_SETTINGS
+@given(containers())
+def fuzz_roundtrip(container):
+    kind, obj, dtype = container
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"a.{kind}"
+        SAVERS[kind](path, obj, dtype=dtype)
+        first = path.read_bytes()
+        SAVERS[kind](path, load_any(path), dtype=dtype)
+        assert path.read_bytes() == first
+
+
+_rng = np.random.default_rng(0)
+_ORDER_FF = b"\xff" * 4  # a u32 order field of 0xFFFFFFFF declares a 34 GB u64 list
+
+
+@FUZZ_SETTINGS
+@given(
+    containers(),
+    st.sampled_from(["truncate", "overwrite"]),
+    st.integers(0, 139),  # the headers of these containers are at most 136 bytes
+    st.binary(min_size=1, max_size=8),
+)
+# the order field follows magic, version and dtype; in a .ttcv it follows l
+@example(("ten", np.zeros((2, 3)), "f64"), "overwrite", 12, _ORDER_FF)
+@example(("tt", random_tt((2, 3), (2,), _rng), "f64"), "overwrite", 12, _ORDER_FF)
+@example(("ttm", TTMatrix(random_tt((4,), (), _rng), (2,), (2,)), "f64"), "overwrite", 12, _ORDER_FF)
+@example(
+    ("ttcv", random_ttconv_kernel(1, factorize_channels(2, 2, 1), (1,), _rng), "f64"),
+    "overwrite", 16, _ORDER_FF,
+)
+def fuzz_corrupted(container, how, at, patch):
+    """A truncated or header-overwritten file either loads or raises FormatError."""
+    kind, obj, dtype = container
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"a.{kind}"
+        SAVERS[kind](path, obj, dtype=dtype)
+        data = path.read_bytes()
+        at %= len(data)
+        if how == "truncate":
+            data = data[:at]
+        else:
+            data = data[:at] + patch + data[at + len(patch) :]
+        path.write_bytes(data)
+        try:
+            load_any(path)
+        except FormatError:
+            pass
+
+
+ADDRESS_SPACE_LIMIT = 1 << 30
+
+
+def test_loader_fuzz_under_address_space_limit(tmp_path):
+    here = Path(__file__).resolve().parent
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_LIMIT}, {ADDRESS_SPACE_LIMIT}))\n"
+        f"sys.path[:0] = [{str(here.parent / 'src')!r}, {str(here)!r}]\n"
+        "import test_io\n"
+        "test_io.fuzz_roundtrip()\n"
+        "test_io.fuzz_corrupted()\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ttconv.conv import conv2d_direct
+from ttconv.conv import conv2d_direct, kernel_to_matrix, matrix_to_kernel
 from ttconv.errors import ShapeError
 from ttconv.kernels import (
     ChannelFactorization,
@@ -15,15 +15,16 @@ from ttconv.kernels import (
     naive_ttconv_from_dense,
     naive_ttconv_to_dense,
     random_ttconv_kernel,
-    ttconv_backward_batch,
     ttconv_forward,
-    ttconv_forward_batch,
     ttconv_from_dense,
+    ttconv_matrix,
+    ttconv_matrix_grad,
     ttconv_to_dense,
     ttconv_to_ttmatrix,
 )
-from ttconv.tt import tt_param_count
-from ttconv.ttmatrix import ttm_matvec
+from ttconv.nn import TTConv
+from ttconv.tt import tt_chain, tt_chain_grad, tt_param_count, tt_svd
+from ttconv.ttmatrix import from_compound_tensor, to_compound_tensor, ttm_matvec
 
 
 def full_ranks_for(ell, fact):
@@ -158,6 +159,108 @@ class TestFromToDense:
                 assert_allclose(tk.g0[x, y], tt.cores[0][0, x + 3 * y])
 
 
+def reference_matrix(tk, channels):
+    """Kernel matrix by the paper-order route: the chain as a compound matrix in
+    kernel_to_matrix's row order, then matrix_to_kernel and a C-order flattening."""
+    ell, fact = tk.ell, tk.fact
+    rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
+    mat = from_compound_tensor(tt_chain(tk.as_tt().cores), rows, cols)
+    mat = mat[: ell * ell * channels, : fact.channels_out]
+    return matrix_to_kernel(mat, ell, channels).reshape(mat.shape)
+
+
+def reference_matrix_grad(tk, dmat):
+    """VJP of reference_matrix through an F-order zero-padded kernel buffer."""
+    ell, fact = tk.ell, tk.fact
+    rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
+    channels, n_out = dmat.shape[0] // (ell * ell), dmat.shape[1]
+    dkernel = np.zeros((ell, ell, fact.c_padded, fact.s_padded), order="F")
+    dkernel[:, :, :channels, :n_out] = dmat.reshape(ell, ell, channels, n_out)
+    # kernel_to_matrix's row i + l*j + l*l*c is the F-order flattening of (i, j, c)
+    dfull = to_compound_tensor(dkernel.reshape((-1, fact.s_padded), order="F"), rows, cols)
+    grads = tt_chain_grad(tk.as_tt().cores, dfull)
+    dg0 = grads[0].reshape(ell, ell, -1).transpose(1, 0, 2)
+    return [dg0] + [g.reshape(core.shape) for g, core in zip(grads[1:], tk.cores)]
+
+
+def reference_from_dense(kernel, fact, max_ranks):
+    """Cores of the proposed form via kernel_to_matrix and to_compound_tensor."""
+    ell = kernel.shape[0]
+    mat = kernel_to_matrix(np.pad(kernel, ((0, 0), (0, 0), (0, fact.pad_c), (0, fact.pad_s))))
+    tensor = to_compound_tensor(mat, (ell * ell,) + fact.c_factors, (1,) + fact.s_factors)
+    tt = tt_svd(tensor, max_ranks=max_ranks)
+    g0 = tt.cores[0].reshape(ell, ell, -1).transpose(1, 0, 2)
+    cores = [
+        core.reshape(core.shape[0], ck, sk, core.shape[2])
+        for core, ck, sk in zip(tt.cores[1:], fact.c_factors, fact.s_factors)
+    ]
+    return [g0] + cores
+
+
+def assert_bitwise_equal(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# (l, c_factors, s_factors, pad_c, pad_s): l in 1..3 and d in 1..3, each with and
+# without dummy channels, and the paper-like tt-fc 14400 -> 64 (120x120:8x8)
+LAYOUT_SHAPES = [
+    (ell, c, s, pc, ps)
+    for ell in (1, 2, 3)
+    for c, s, pc, ps in (
+        ((6,), (4,), 0, 0),
+        ((6,), (4,), 1, 2),
+        ((3, 2), (2, 2), 0, 0),
+        ((2, 2), (4, 2), 1, 3),
+        ((2, 2, 2), (2, 3, 1), 0, 0),
+        ((2, 2, 2), (2, 2, 2), 3, 1),
+    )
+] + [(1, (120, 120), (8, 8), 0, 0)]
+LAYOUT_IDS = [
+    f"l{ell}-{'x'.join(map(str, c))}:{'x'.join(map(str, s))}-pad{pc},{ps}"
+    for ell, c, s, pc, ps in LAYOUT_SHAPES
+]
+
+
+@pytest.mark.parametrize("ell,c_factors,s_factors,pad_c,pad_s", LAYOUT_SHAPES, ids=LAYOUT_IDS)
+class TestLayoutMatchesPaperOrderRoute:
+    """The single chain <-> kernel permutation gives bitwise the values of the
+    paper-order route through conv's and ttmatrix's layout helpers."""
+
+    @staticmethod
+    def kernel(ell, c_factors, s_factors, pad_c, pad_s):
+        fact = ChannelFactorization(c_factors, s_factors, pad_c, pad_s)
+        ranks = (2, 3, 2)[: fact.depth]
+        return random_ttconv_kernel(ell, fact, ranks, np.random.default_rng(ell * 100 + fact.depth))
+
+    def test_matrix(self, ell, c_factors, s_factors, pad_c, pad_s):
+        tk = self.kernel(ell, c_factors, s_factors, pad_c, pad_s)
+        for channels in {1, tk.fact.channels_in}:
+            got = ttconv_matrix(tk.g0, tk.cores, tk.fact, channels)
+            assert_bitwise_equal(got, reference_matrix(tk, channels))
+
+    def test_matrix_grad(self, ell, c_factors, s_factors, pad_c, pad_s):
+        tk = self.kernel(ell, c_factors, s_factors, pad_c, pad_s)
+        rng = np.random.default_rng(7)
+        for channels in {1, tk.fact.channels_in}:
+            dmat = rng.standard_normal((ell * ell * channels, tk.fact.channels_out))
+            # the network passes dL/dW as the transpose of a C-order product
+            for layout in (dmat, np.asfortranarray(dmat)):
+                dg0, dcores = ttconv_matrix_grad(tk.g0, tk.cores, tk.fact, layout)
+                for got, want in zip([dg0, *dcores], reference_matrix_grad(tk, dmat)):
+                    assert_bitwise_equal(got, want)
+
+    def test_from_dense(self, ell, c_factors, s_factors, pad_c, pad_s):
+        fact = ChannelFactorization(c_factors, s_factors, pad_c, pad_s)
+        rng = np.random.default_rng(11)
+        kernel = rng.standard_normal((ell, ell, fact.channels_in, fact.channels_out))
+        max_ranks = (3,) * fact.depth
+        tk = ttconv_from_dense(kernel, fact, max_ranks=max_ranks)
+        for got, want in zip([tk.g0, *tk.cores], reference_from_dense(kernel, fact, max_ranks)):
+            assert_bitwise_equal(got, want)
+
+
 class TestChainProductOracle:
     def test_dense_entries_equal_explicit_chain(self):
         # K[x, y, c', s'] = G0[x,y] @ G1[c1,s1] @ ... with little-endian digits
@@ -222,6 +325,16 @@ class TestForward:
         ref = conv2d_direct(x, ttconv_to_dense(tk))
         got = ttconv_forward(x, tk)
         assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_wrong_channel_count_rejected(self):
+        # a 3-channel kernel padded to 4: 2 channels would drop one, and 4 would
+        # read the dummy channel's (nonzero) chain weights
+        rng = np.random.default_rng(18)
+        fact = factorize_channels(3, 4, 2)
+        tk = random_ttconv_kernel(3, fact, (2, 2), rng)
+        for channels in (2, 4):
+            with pytest.raises(ShapeError, match="channel mismatch"):
+                ttconv_forward(rng.standard_normal((6, 6, channels)), tk)
 
     def test_equivalence_many_seeds(self):
         for seed in range(8):
@@ -343,33 +456,36 @@ class TestBackwardBatch:
         xb = rng.standard_normal((2, 5, 5, 4))
         w = rng.standard_normal((2, 4, 4, 4))  # projection making a scalar loss
 
-        def loss(g0, cores, x):
-            y, _ = ttconv_forward_batch(x, tk.ell, fact, g0, cores)
-            return float(np.sum(y * w))
+        layer = TTConv(tk.ell, 4, ranks=(2, 2), factors=fact, bias=False)
+        layer.build(xb.shape[1:], np.random.default_rng(0))
+        for p, value in zip(layer.params, (tk.g0, *tk.cores)):
+            p[...] = value
 
-        y, cache = ttconv_forward_batch(xb, tk.ell, fact, tk.g0, tk.cores, keep_cache=True)
-        dx, dg0, dcores = ttconv_backward_batch(cache, w)
+        def loss(x):
+            return float(np.sum(layer.forward(x) * w))
+
+        layer.forward(xb, train=True)
+        dx = layer.backward(w)
+        dg0, *dcores = [np.array(g) for g in layer.grads]
 
         h = 1e-6
-        base_g0 = np.array(tk.g0)
-        base_cores = [np.array(c) for c in tk.cores]
 
-        def check(analytic, arr, setter):
+        def check(analytic, arr, x):
             flat = arr.ravel()
             idx = rng.choice(flat.size, size=min(10, flat.size), replace=False)
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + h
-                fp = loss(*setter())
+                fp = loss(x)
                 flat[i] = orig - h
-                fm = loss(*setter())
+                fm = loss(x)
                 flat[i] = orig
                 fd = (fp - fm) / (2 * h)
                 an = analytic.ravel()[i]
                 assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
 
-        check(dg0, base_g0, lambda: (base_g0, base_cores, xb))
+        check(dg0, layer.params[0], xb)
         for k in range(2):
-            check(dcores[k], base_cores[k], lambda: (base_g0, base_cores, xb))
+            check(dcores[k], layer.params[1 + k], xb)
         xv = np.array(xb)
-        check(dx, xv, lambda: (base_g0, base_cores, xv))
+        check(dx, xv, xv)

@@ -217,6 +217,17 @@ class TestGradients:
         report = gradcheck(net, x, y, corrupt=True)
         assert not report[0]["ok"]
 
+    def test_gradcheck_nan_weight_fails(self):
+        # the loss and every difference quotient are NaN: that is not a pass
+        rng = np.random.default_rng(4)
+        net = Network([Dense(2)])
+        net.build((6,), np.random.default_rng(1))
+        net.layers[0].params[0][0, 0] = np.nan
+        x = rng.standard_normal((4, 6))
+        report = gradcheck(net, x, np.array([0, 1, 1, 0]))
+        assert np.isnan(report[0]["max_rel_err"])
+        assert report[0]["ok"] is False
+
     def test_fc_bias_gradient_zero_at_uniform_logits(self):
         net = Network([Dense(2)])
         net.build((4,), np.random.default_rng(0))
