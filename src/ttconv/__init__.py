@@ -3,7 +3,8 @@
 The package provides, bottom up:
 
 - ``tt``: the TT format (cores, element access, reconstruction, TT-SVD);
-- ``ttmatrix``: matrix TT format with factorized row/column indices;
+- ``ttmatrix``: matrix TT format with factorized row/column indices, and
+  batched products through its cores with their gradients;
 - ``conv``: dense valid convolution and its im2col/GEMM reformulation;
 - ``kernels``: TT-convolutional kernels (the reshaped higher-order
   decomposition and the naive 4-mode baseline);
@@ -37,6 +38,8 @@ from .ttmatrix import (
     TTMatrix,
     index_to_multi,
     multi_to_index,
+    ttm_batch,
+    ttm_batch_vjp,
     ttm_element,
     ttm_from_dense,
     ttm_full,

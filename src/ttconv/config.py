@@ -54,6 +54,7 @@ _INT_KEYS = {"seed", "epochs", "batch_size", "decay_every", "train_size", "test_
              "size", "dataset_seed", "init_seed"}
 _FLOAT_KEYS = {"lr", "momentum", "decay_factor", "noise"}
 _STR_KEYS = {"name", "dataset"}
+_POSITIVE_KEYS = ("epochs", "batch_size", "train_size", "test_size")
 
 DEFAULTS = {
     "name": "model",
@@ -99,6 +100,9 @@ def parse_config(text: str) -> dict:
             cfg[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    for key in _POSITIVE_KEYS:
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if "init_seed" not in cfg:
         cfg["init_seed"] = cfg["seed"]
     return cfg
@@ -160,7 +164,10 @@ def _build_layer(spec: str):
     def ranks_opt():
         if "ranks" not in options:
             raise ConfigError(f"{kind}: missing ranks=...")
-        return parse_int_list(options["ranks"])
+        ranks = parse_int_list(options["ranks"])
+        if min(ranks) < 1:
+            raise ConfigError(f"{kind}: ranks must be at least 1, got {options['ranks']}")
+        return ranks
 
     def fact_opt():
         # padding is fitted to the real channel counts when the layer builds

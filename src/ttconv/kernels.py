@@ -174,6 +174,8 @@ class TTConvKernel:
             raise ShapeError(f"expected {fact.depth} channel cores, got {len(cores)}")
         r_prev = g0.shape[2]
         for k, core in enumerate(cores):
+            if r_prev < 1:
+                raise ShapeError(f"TT-rank {k + 1} is {r_prev}, must be at least 1")
             ck, sk = fact.c_factors[k], fact.s_factors[k]
             if core.ndim != 4 or core.shape[:3] != (r_prev, ck, sk):
                 raise ShapeError(

@@ -46,6 +46,9 @@ class TTTensor:
             frozen.append(arr)
         if frozen[0].shape[0] != 1 or frozen[-1].shape[2] != 1:
             raise ShapeError("boundary TT-ranks must equal 1")
+        for k, arr in enumerate(frozen[:-1]):
+            if arr.shape[2] < 1:
+                raise ShapeError(f"TT-rank {k + 1} is {arr.shape[2]}, must be at least 1")
         for k in range(len(frozen) - 1):
             if frozen[k].shape[2] != frozen[k + 1].shape[0]:
                 raise ShapeError(

@@ -6,6 +6,13 @@ row and column indices to mixed-radix digit vectors and pairing the digits.
 Both digit maps are little-endian (digit 0 varies fastest); within a mode the
 compound slice index is ``row_digit * n_k + col_digit`` (column digit fastest).
 The same pairing convention is reused by the TT-convolution kernels.
+
+Products with A never materialize it: ``ttm_batch`` computes ``X A^T`` for a
+batch of rows by one reshape, one transpose and one GEMM per core, keeping
+the GEMM operands so that ``ttm_batch_vjp`` can return the gradients of X and
+of every core from them; ``ttm_matvec`` is its one-row call.  ``nn.TTDense``
+runs the same product when that costs fewer multiply-adds than rebuilding its
+weight matrix.
 """
 
 from __future__ import annotations
@@ -148,26 +155,78 @@ def ttm_element(a: TTMatrix, l: int, t: int) -> float:
 
 
 def ttm_matvec(a: TTMatrix, x) -> np.ndarray:
-    """Product A @ x computed core by core, never materializing A.
-
-    The sweep runs left to right, carrying an intermediate with one rank axis,
-    the row digits produced so far, and the column digits not yet contracted.
-    """
+    """Product A @ x computed core by core, never materializing A: the
+    one-row call of ``ttm_batch``."""
     x = np.asarray(x, dtype=np.float64)
-    m, n = a.shape
+    n = a.shape[1]
     if x.shape != (n,):
         raise ShapeError(f"expected a vector of length {n}, got shape {x.shape}")
-    d = a.tt.ndim
-    # Axes: (rank, mu_1..mu_{k-1}, nu_k..nu_d); column digits little-endian.
-    t = x.reshape(a.col_factors, order="F")[None]
-    for k in range(d):
+    return ttm_batch(a, x[None])[0][0]
+
+
+def ttm_batch(a: TTMatrix, x):
+    """``Y = X A^T`` for the rows of X, shape (B, N), one core at a time.
+
+    Returns Y, shape (B, M), and the sweep: the GEMM operands of every core,
+    which ``ttm_batch_vjp`` reuses.  Before core k the rows of the carried
+    left operand run over (batch, nu_d..nu_{k+1}, mu_{k-1}..mu_1) and its
+    columns over (nu_k, r_{k-1}).  One GEMM with the core as
+    (n_k * r_{k-1}, m_k * r_k) replaces nu_k by mu_k, and one transpose moves
+    mu_k to the front of the row digits and nu_{k+1} into the columns.  Digit
+    1 is fastest on both sides, so after the last core the rows are Y.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = a.shape[1]
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ShapeError(f"expected rows of length {n}, got shape {x.shape}")
+    lhs = x.reshape(-1, a.col_factors[0])
+    sweep = []
+    for k, view in enumerate(_output_views(a)):
+        r_in, _, r_out = a.tt.cores[k].shape
         mk, nk = a.row_factors[k], a.col_factors[k]
-        core = a.tt.cores[k]
-        r_in, _, r_out = core.shape
-        quad = core.reshape(r_in, mk, nk, r_out)
-        # Contract rank + nu_k; remaining quad axes (mu_k, r_out) lead.
-        t = np.tensordot(quad, t, axes=[(0, 2), (0, k + 1)])
-        # (mu_k, r_out, mu_1..mu_{k-1}, nu_{k+1}..) -> rank first, mu_k after mu_{k-1}
-        order = (1, *range(2, 2 + k), 0, *range(2 + k, t.ndim))
-        t = t.transpose(order)
-    return t.reshape(m, order="F")
+        g = a.tt.cores[k].reshape(r_in, mk, nk, r_out).transpose(2, 0, 1, 3)
+        g = g.reshape(nk * r_in, mk * r_out)
+        sweep.append((lhs, g))
+        lhs = (lhs @ g).reshape(view).transpose(_SWAP).reshape(-1, view[1] * r_out)
+    return lhs.reshape(x.shape[0], a.shape[0]), sweep
+
+
+def ttm_batch_vjp(a: TTMatrix, sweep, dy, input_grad=True):
+    """Gradients (dX, [dG_k]) of ``sum(dy * Y)`` for ``Y, sweep = ttm_batch(a, X)``.
+
+    Runs the sweep backwards: the carried gradient is brought back to core
+    k's output order by the inverse of its transpose (the same axis swap),
+    core k gets ``lhs^T @ dout`` and the carried gradient becomes
+    ``dout @ g^T``.  With ``input_grad=False`` dX is None and core 1's
+    ``dout @ g^T`` is skipped.
+    """
+    grad = np.asarray(dy, dtype=np.float64)
+    batch = len(grad)
+    dcores = [None] * len(sweep)
+    for k, view in reversed(list(enumerate(_output_views(a)))):
+        lhs, g = sweep[k]
+        swapped = tuple(view[i] for i in _SWAP)
+        dout = grad.reshape(swapped).transpose(_SWAP).reshape(lhs.shape[0], g.shape[1])
+        r_in, mode, r_out = a.tt.cores[k].shape
+        dg = (lhs.T @ dout).reshape(a.col_factors[k], r_in, a.row_factors[k], r_out)
+        dcores[k] = dg.transpose(1, 2, 0, 3).reshape(r_in, mode, r_out)
+        if k or input_grad:
+            grad = dout @ g.T
+    return (grad.reshape(batch, a.shape[1]) if input_grad else None), dcores
+
+
+# (L, n_{k+1}, prod m_<k, m_k, r_k) <-> (L, m_k, prod m_<k, n_{k+1}, r_k)
+_SWAP = (0, 3, 2, 1, 4)
+
+
+def _output_views(a: TTMatrix) -> list:
+    """Per core k, the 5-axis view (L, n_{k+1}, prod m_<k, m_k, r_k) of its
+    GEMM output that ``_SWAP`` brings into the next left operand's order;
+    n_{d+1} = 1."""
+    views = []
+    done = 1
+    for k, mk in enumerate(a.row_factors):
+        n_next = a.col_factors[k + 1] if k + 1 < len(a.row_factors) else 1
+        views.append((-1, n_next, done, mk, a.tt.cores[k].shape[2]))
+        done *= mk
+    return views

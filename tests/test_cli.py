@@ -268,6 +268,27 @@ class TestMalformedContainers:
         err = self.reconstruct(capsys, tmp_path, "a.ttcv", data)
         assert "l must be at least 1, got 0" in err
 
+    def test_tt_interior_rank_zero(self, tmp_path, capsys):
+        err = self.reconstruct(capsys, tmp_path, "a.tt", tt_stream((3, 4), (1, 0, 1)))
+        assert err == "error: TT-rank 1 is 0, must be at least 1\n"
+
+    def test_ttm_interior_rank_zero(self, tmp_path, capsys):
+        data = (
+            b"TTMX" + struct.pack("<3I", 1, 0, 2) + struct.pack("<2Q", 1, 2)
+            + struct.pack("<2Q", 3, 2) + tt_stream((3, 4), (1, 0, 1))
+        )
+        err = self.reconstruct(capsys, tmp_path, "a.ttm", data)
+        assert err == "error: TT-rank 1 is 0, must be at least 1\n"
+
+    def test_ttcv_interior_rank_zero(self, tmp_path, capsys):
+        # l = 1, d = 2, C = S = 2x2, no padding; ranks (1, 1, 0, 1)
+        data = (
+            b"TTCV" + struct.pack("<4I", 1, 0, 1, 2) + struct.pack("<4Q", 2, 2, 2, 2)
+            + struct.pack("<2I", 0, 0) + struct.pack("<4Q", 1, 1, 0, 1) + bytes(8)
+        )
+        err = self.reconstruct(capsys, tmp_path, "a.ttcv", data)
+        assert err == "error: TT-rank 2 is 0, must be at least 1\n"
+
 
 class TestGradcheck:
     def test_toy_config_passes(self, tmp_path, capsys):
@@ -401,6 +422,34 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "layer = warp-drive 3 4\ntrain_size = 8\ntest_size = 8\n")
         code, _, _ = run(capsys, "gradcheck", cfg)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("layer = dense-fc 2", "layer = tt-fc 2 ranks=0,2 d=2",
+             "tt-fc: ranks must be at least 1, got 0,2"),
+            ("layer = dense-fc 2", "layer = tt-fc 2 ranks=-1,2 d=2",
+             "tt-fc: ranks must be at least 1, got -1,2"),
+            ("layer = dense-conv 3 4", "layer = tt-conv 3 4 ranks=2,0 d=2",
+             "tt-conv: ranks must be at least 1, got 2,0"),
+            ("layer = dense-conv 3 4", "layer = naive-tt-conv 3 4 ranks=2,2,0",
+             "naive-tt-conv: ranks must be at least 1, got 2,2,0"),
+            ("batch_size = 32", "batch_size = 0", "batch_size must be at least 1, got 0"),
+            ("batch_size = 32", "batch_size = -4", "batch_size must be at least 1, got -4"),
+            ("epochs = 2", "epochs = 0", "epochs must be at least 1, got 0"),
+            ("train_size = 64", "train_size = 0", "train_size must be at least 1, got 0"),
+            ("test_size = 32", "test_size = 0", "test_size must be at least 1, got 0"),
+        ],
+    )
+    def test_train_rejects_nonpositive_sizes_exit_2(self, tmp_path, capsys, old, new, message):
+        assert old in TOY_CONFIG
+        cfg = write_config(tmp_path, TOY_CONFIG.replace(old, new))
+        log_path = tmp_path / "toy.csv"
+        code, out, err = run(capsys, "train", cfg, "-o", str(log_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not log_path.exists()
 
 
 class TestModuleEntryPoint:

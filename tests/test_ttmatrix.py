@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ttconv.errors import ShapeError
-from ttconv.tt import TTTensor, tt_param_count
+from ttconv.tt import TTTensor, random_tt, tt_param_count
 from ttconv.ttmatrix import (
     TTMatrix,
     from_compound_tensor,
     index_to_multi,
     multi_to_index,
     to_compound_tensor,
+    ttm_batch,
+    ttm_batch_vjp,
     ttm_element,
     ttm_from_dense,
     ttm_full,
@@ -206,3 +210,87 @@ class TestInvariants:
         a = rng.standard_normal((16, 16))
         ttm = ttm_from_dense(a, (4, 4), (4, 4), max_ranks=(3,))
         assert tt_param_count(ttm.tt) == 16 * 1 * 3 + 16 * 3 * 1
+
+
+def random_ttm(row_factors, col_factors, ranks, rng):
+    modes = [m * n for m, n in zip(row_factors, col_factors)]
+    return TTMatrix(random_tt(modes, ranks, rng), row_factors, col_factors)
+
+
+# (row factors, column factors, interior ranks): d = 1-4, ranks 1-3, size-1
+# and rectangular modes
+BATCH_CASES = [
+    ((5,), (3,), ()),
+    ((2, 3), (4, 1), (3,)),
+    ((1, 3, 2), (2, 1, 5), (2, 1)),
+    ((2, 2, 1, 3), (3, 1, 2, 2), (2, 3, 3)),
+]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("rf,cf,ranks", BATCH_CASES)
+    def test_vjp_against_finite_differences(self, rf, cf, ranks):
+        rng = np.random.default_rng(len(rf))
+        a = random_ttm(rf, cf, ranks, rng)
+        x = rng.standard_normal((3, a.shape[1]))
+        dy = rng.standard_normal((3, a.shape[0]))
+        y, sweep = ttm_batch(a, x)
+        dx, dcores = ttm_batch_vjp(a, sweep, dy)
+        h = 1e-6
+
+        def loss(cores, x):
+            return float(np.sum(dy * ttm_batch(TTMatrix(TTTensor(cores), rf, cf), x)[0]))
+
+        fd = np.zeros(x.shape)
+        for idx in np.ndindex(x.shape):
+            step = np.zeros(x.shape)
+            step[idx] = h
+            fd[idx] = (loss(a.tt.cores, x + step) - loss(a.tt.cores, x - step)) / (2 * h)
+        assert_allclose(dx, fd, rtol=1e-6, atol=1e-7)
+        assert len(dcores) == len(a.tt.cores)
+        for k, core in enumerate(a.tt.cores):
+            fd = np.zeros(core.shape)
+            for idx in np.ndindex(core.shape):
+                plus = [c.copy() for c in a.tt.cores]
+                minus = [c.copy() for c in a.tt.cores]
+                plus[k][idx] += h
+                minus[k][idx] -= h
+                fd[idx] = (loss(plus, x) - loss(minus, x)) / (2 * h)
+            assert dcores[k].shape == core.shape
+            assert_allclose(dcores[k], fd, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("rf,cf,ranks", BATCH_CASES)
+    def test_skipped_input_gradient_keeps_core_gradients(self, rf, cf, ranks):
+        rng = np.random.default_rng(7)
+        a = random_ttm(rf, cf, ranks, rng)
+        y, sweep = ttm_batch(a, rng.standard_normal((4, a.shape[1])))
+        dy = rng.standard_normal(y.shape)
+        _, full = ttm_batch_vjp(a, sweep, dy)
+        dx, dcores = ttm_batch_vjp(a, sweep, dy, input_grad=False)
+        assert dx is None
+        for g, ref in zip(dcores, full):
+            assert np.array_equal(g, ref)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
+        st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_product(self, factors, ranks, batch, seed):
+        rng = np.random.default_rng(seed)
+        rf, cf = (tuple(f) for f in zip(*factors))
+        a = random_ttm(rf, cf, ranks[: len(rf) - 1], rng)
+        x = rng.standard_normal((batch, a.shape[1]))
+        y, _ = ttm_batch(a, x)
+        ref = x @ ttm_full(a).T
+        assert y.shape == ref.shape
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(ttm_matvec(a, x[0]), ttm_batch(a, x[:1])[0][0])
+
+    def test_row_length_mismatch(self):
+        a = all_ones_ttm((2, 2), (2, 3))
+        for bad in (np.ones((2, 4)), np.ones(6), np.ones((1, 2, 3))):
+            with pytest.raises(ShapeError):
+                ttm_batch(a, bad)
