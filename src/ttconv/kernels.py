@@ -315,6 +315,25 @@ def ttconv_to_ttmatrix(tk: TTConvKernel) -> TTMatrix:
     return TTMatrix(TTTensor(chain), tk.fact.s_factors, tk.fact.c_factors)
 
 
+def ttconv_to_ttmatrix_grad(tk: TTConvKernel, dcores):
+    """Gradients (dg0, [dG_k]) of the 1x1 kernel ``tk`` given the gradients
+    ``dcores`` of the cores of ``ttconv_to_ttmatrix(tk)``: that map's VJP.
+
+    Each (s_k, c_k) mode goes back to (c_k, s_k), and the first core's
+    gradient is split between the spatial core and channel core 1.
+    """
+    if tk.ell != 1:
+        raise ShapeError("per-pixel matrix form requires a 1x1 kernel")
+    dchan = [
+        g.reshape(g.shape[0], sk, ck, g.shape[2]).transpose(0, 2, 1, 3)
+        for g, ck, sk in zip(dcores, tk.fact.c_factors, tk.fact.s_factors)
+    ]
+    dfirst = dchan[0][0]  # (C1, S1, r2)
+    dg0 = np.tensordot(tk.cores[0], dfirst, axes=3).reshape(tk.g0.shape)
+    dchan[0] = np.multiply.outer(tk.g0[0, 0], dfirst)
+    return dg0, dchan
+
+
 def random_ttconv_kernel(ell: int, fact: ChannelFactorization, ranks, rng) -> TTConvKernel:
     """TT kernel with standard normal cores at the given interior ranks.
 

@@ -5,17 +5,13 @@ Layers operate on batches: images are (B, W, H, C) arrays, flat features
 ``backward`` must be called right after ``forward`` on the same batch.  All
 parametrized layers share one body, ``y = patches @ W + b``, and differ only
 in how the weight matrix W is built from their parameters: TT layers keep
-their cores as the parameters, rebuild W from them on the forward pass and
+their cores as the parameters, rebuild W from them on every forward pass and
 send dL/dW back to the cores through the gradient of the chain product.  A
 convolution's patches are in ``im2col_batch``'s channels-fastest order, so its
 W is the (l, l, C, S) kernel flattened in C order.
 
-``TTDense`` has a second plan: ``Y = X W`` through its cores one at a time
-(``ttmatrix.ttm_batch``), which never forms W and costs less when the batch
-is small against W.  ``tt_fc_plan`` picks the plan on every call by counting
-both plans' forward multiply-adds for that batch size, factorization and
-ranks; the cache records the plan, and the backward pass follows it.  The
-convolution layers always reconstruct.
+``TTDense`` is the exception: it computes ``Y = X W`` through its cores one
+at a time (``ttmatrix.ttm_batch``) and never forms W.
 
 ``Network.backward`` only fills the parameter gradients.  Nothing reads the
 gradient of the network input, so the lowest parametrized layer skips its
@@ -38,6 +34,7 @@ from .kernels import (
     ttconv_matrix,
     ttconv_matrix_grad,
     ttconv_to_ttmatrix,
+    ttconv_to_ttmatrix_grad,
 )
 from .tt import FULL_ELEMENT_CAP, tt_chain, tt_chain_grad
 from .ttmatrix import ttm_batch, ttm_batch_vjp
@@ -49,7 +46,6 @@ __all__ = [
     "NaiveTTConv",
     "Dense",
     "TTDense",
-    "tt_fc_plan",
     "ReLU",
     "MaxPool",
     "AvgPool",
@@ -159,11 +155,11 @@ class _MatrixLayer(Layer):
         y = cols @ w
         if self.with_bias:
             y += self.params[-1]
-        self._cache = ("reconstruct", cols, x.shape, w) if train else None
+        self._cache = (cols, x.shape, w) if train else None
         return y.reshape(out_shape)
 
     def backward(self, dy, input_grad=True):
-        _, cols, in_shape, w = self._require_cache()
+        cols, in_shape, w = self._require_cache()
         dy = dy.reshape(cols.shape[0], -1)
         # dW = P^T dY, formed as (dY^T P)^T: on one OpenBLAS thread of a 2-vCPU
         # x86 VM this order took 18 ms instead of 28 ms for 8192 x 576 patches
@@ -329,38 +325,15 @@ class Dense(_MatrixLayer):
         return [dw]
 
 
-def tt_fc_plan(batch, fact, ranks):
-    """The forward plan of a tt-fc layer with cores of ``ranks`` (r_1..r_d)
-    over ``fact``, for ``batch`` rows: "chain" when ``ttm_batch`` through the
-    cores takes fewer multiply-adds than rebuilding W by ``tt_chain`` and one
-    GEMM, else "reconstruct".  Exact integer counts of the GEMMs each plan
-    runs, so the choice is deterministic."""
-    c, s, r = fact.c_factors, fact.s_factors, tuple(ranks) + (1,)
-    # reconstruct: the GEMMs of tt_chain over g0 and the cores, then X @ W
-    rebuild, rows = batch * fact.channels_in * fact.channels_out, 1
-    for k in range(fact.depth):
-        rebuild += rows * r[k] * c[k] * s[k] * r[k + 1]
-        rows *= c[k] * s[k]
-    # chain: g0 absorbed into the first core, then one GEMM per core
-    chain = r[0] * c[0] * s[0] * r[1]
-    for k in range(fact.depth):
-        rows = batch * math.prod(c[k + 1 :]) * math.prod(s[:k])
-        chain += rows * c[k] * (r[k] if k else 1) * s[k] * r[k + 1]
-    return "chain" if chain < rebuild else "reconstruct"
-
-
 class TTDense(_ProposedTT, _MatrixLayer):
     """Fully-connected layer with the weight matrix in TT form.
 
     The weights are those of a 1x1 TT convolution over the flattened input's
-    features, whose kernel matrix is the matrix-TT product.  Each call runs
-    the plan ``tt_fc_plan`` picks for its batch size: the shared
-    reconstruct-and-GEMM body, or the batched product through the cores
-    (``ttm_batch``) on the layer's matrix TT, the spatial core absorbed into
-    the first channel core (``ttconv_to_ttmatrix``).  The chain plan never
-    forms W: it zero-fills the padded input channels of X and slices the
-    padded output channels off Y.  The cache records the plan, and the
-    backward pass follows it.
+    features, whose kernel matrix is the matrix-TT product.  The forward pass
+    runs ``ttm_batch`` on that matrix TT (``ttconv_to_ttmatrix``: the spatial
+    core absorbed into the first channel core), with the padded input channels
+    of X zero-filled and the padded output channels sliced off Y, so W is
+    never formed; the backward pass reuses the sweep.
     """
 
     kind = "tt-fc"
@@ -369,10 +342,9 @@ class TTDense(_ProposedTT, _MatrixLayer):
         super().__init__(ranks, d, factors, out_features, bias)
 
     def forward(self, x, train=False):
-        if tt_fc_plan(x.shape[0], self.fact, self.ranks) == "reconstruct":
-            return super().forward(x, train)
         g0, *cores = self._weights()
-        a = ttconv_to_ttmatrix(TTConvKernel(1, self.fact, g0, cores))
+        tk = TTConvKernel(1, self.fact, g0, cores)
+        a = ttconv_to_ttmatrix(tk)
         cols = x.reshape(x.shape[0], -1)
         if self.fact.pad_c:
             cols = np.pad(cols, ((0, 0), (0, self.fact.pad_c)))
@@ -380,30 +352,15 @@ class TTDense(_ProposedTT, _MatrixLayer):
         y = y[:, : self.out_features]
         if self.with_bias:
             y = y + self.params[-1]
-        self._cache = ("chain", a, sweep, x.shape) if train else None
+        self._cache = (tk, a, sweep, x.shape) if train else None
         return y
 
     def backward(self, dy, input_grad=True):
-        plan, *saved = self._require_cache()
-        if plan == "reconstruct":
-            return super().backward(dy, input_grad)
-        a, sweep, in_shape = saved
+        tk, a, sweep, in_shape = self._require_cache()
         dy = dy.reshape(dy.shape[0], -1)
-        dx, dcores = ttm_batch_vjp(a, sweep, np.pad(dy, ((0, 0), (0, self.fact.pad_s))), input_grad)
-        # undo ttconv_to_ttmatrix: (s_k, c_k) mode digits back to (c_k, s_k),
-        # and the first core's gradient split between g0 and channel core 1
-        g0, first, *_ = self._weights()
-        dmats = [
-            g.reshape(g.shape[0], sk, ck, g.shape[2]).transpose(0, 2, 1, 3)
-            for g, ck, sk in zip(dcores, self.fact.c_factors, self.fact.s_factors)
-        ]
-        dfirst = dmats[0][0]
-        grads = [
-            np.tensordot(first, dfirst, axes=3).reshape(g0.shape),
-            np.multiply.outer(g0[0, 0], dfirst),
-            *dmats[1:],
-        ]
-        for g, dp in zip(self.grads, grads):
+        dx, dmats = ttm_batch_vjp(a, sweep, np.pad(dy, ((0, 0), (0, self.fact.pad_s))), input_grad)
+        dg0, dcores = ttconv_to_ttmatrix_grad(tk, dmats)
+        for g, dp in zip(self.grads, [dg0, *dcores]):
             g[...] = dp
         if self.with_bias:
             self.grads[-1][...] = dy.sum(axis=0)

@@ -10,9 +10,8 @@ The same pairing convention is reused by the TT-convolution kernels.
 Products with A never materialize it: ``ttm_batch`` computes ``X A^T`` for a
 batch of rows by one reshape, one transpose and one GEMM per core, keeping
 the GEMM operands so that ``ttm_batch_vjp`` can return the gradients of X and
-of every core from them; ``ttm_matvec`` is its one-row call.  ``nn.TTDense``
-runs the same product when that costs fewer multiply-adds than rebuilding its
-weight matrix.
+of every core from them; ``ttm_matvec`` is its one-row call, and
+``nn.TTDense`` runs its forward and backward passes through the same two.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from ttconv.nn import (
     format_log_csv,
     gradcheck,
     train,
-    tt_fc_plan,
 )
 from ttconv.tt import FULL_ELEMENT_CAP, TTTensor, tt_full
 
@@ -490,69 +489,46 @@ TT_FC_SHAPES = [
 ]
 
 
-def _with_plan(monkeypatch, plan):
-    monkeypatch.setattr(nn, "tt_fc_plan", lambda batch, fact, ranks: plan)
-
-
-def _tt_fc_pass(monkeypatch, plan, layer, x, dy):
-    """Forward, dx and parameter gradients of one training pass on ``plan``."""
-    _with_plan(monkeypatch, plan)
-    y = layer.forward(x, train=True)
-    dx = layer.backward(dy)
+def _tt_fc_pass(layer, x, dy, body=TTDense):
+    """Forward, dx and parameter gradients of one training pass of ``layer``
+    through ``body``'s forward and backward."""
+    y = body.forward(layer, x, train=True)
+    dx = body.backward(layer, dy)
     return [y, dx] + [g.copy() for g in layer.grads]
 
 
-class TestTTDensePlans:
+class TestTTDenseChain:
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("c,s,d,ranks", TT_FC_SHAPES)
-    def test_plans_agree(self, monkeypatch, c, s, d, ranks, bias):
+    def test_matches_reconstruct_body(self, c, s, d, ranks, bias):
+        # reference: W rebuilt from the cores by the shared y = X W + b body
         layer = TTDense(s, ranks=ranks, d=d, bias=bias)
         layer.build((c,), np.random.default_rng(1))
         rng = np.random.default_rng(2)
         if bias:
             layer.params[-1][...] = rng.standard_normal(s)
         x, dy = rng.standard_normal((4, c)), rng.standard_normal((4, s))
-        ref = _tt_fc_pass(monkeypatch, "reconstruct", layer, x, dy)
-        got = _tt_fc_pass(monkeypatch, "chain", layer, x, dy)
+        ref = _tt_fc_pass(layer, x, dy, body=nn._MatrixLayer)
+        got = _tt_fc_pass(layer, x, dy)
         assert [a.shape for a in got] == [a.shape for a in ref]
         for a, b in zip(got, ref):
             assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
-    @pytest.mark.parametrize("plan", ["chain", "reconstruct"])
     @pytest.mark.parametrize("c,s,d,ranks", TT_FC_SHAPES)
-    def test_gradcheck_on_each_plan(self, monkeypatch, plan, c, s, d, ranks):
+    def test_gradcheck(self, c, s, d, ranks):
         # the dense layer below checks the tt-fc input gradient too
         net = Network([Dense(c), TTDense(s, ranks=ranks, d=d), ReLU(), Dense(2)])
         net.build((4,), np.random.default_rng(3))
-        _with_plan(monkeypatch, plan)
         x = np.random.default_rng(4).standard_normal((3, 4))
         for r in gradcheck(net, x, np.array([0, 1, 1])):
             assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
 
-    @pytest.mark.parametrize("plan", ["chain", "reconstruct"])
-    def test_backward_follows_the_cached_plan(self, monkeypatch, plan):
-        layer = TTDense(5, ranks=(2, 3), d=2)
-        layer.build((6,), np.random.default_rng(5))
-        rng = np.random.default_rng(6)
-        x, dy = rng.standard_normal((3, 6)), rng.standard_normal((3, 5))
-        ref = _tt_fc_pass(monkeypatch, plan, layer, x, dy)
-        layer.forward(x, train=True)
-
-        def refuse(batch, fact, ranks):
-            raise AssertionError("backward chose a plan again")
-
-        monkeypatch.setattr(nn, "tt_fc_plan", refuse)
-        got = [layer.backward(dy)] + [g.copy() for g in layer.grads]
-        for a, b in zip(got, ref[1:]):
-            assert np.array_equal(a, b)
-
-    def test_chain_plan_never_forms_w(self, monkeypatch):
+    def test_never_forms_w(self, monkeypatch):
         layer = TTDense(256, ranks=(2, 2), d=2)
         layer.build((256,), np.random.default_rng(7))
-        assert tt_fc_plan(2, layer.fact, layer.ranks) == "chain"
 
         def refuse(*args):
-            raise AssertionError("the chain plan materialized W")
+            raise AssertionError("tt-fc materialized W")
 
         for module in (nn, kernels):
             monkeypatch.setattr(module, "tt_chain", refuse)
@@ -561,21 +537,6 @@ class TestTTDensePlans:
         y = layer.forward(rng.standard_normal((2, 256)), train=True)
         dx = layer.backward(rng.standard_normal(y.shape))
         assert y.shape == dx.shape == (2, 256)
-
-    @pytest.mark.parametrize(
-        "c,s,ranks,batch,plan",
-        [
-            # paper-net's tt-fc, 14400 -> 64: ~15.7 vs ~29.6 MFLOP at B=8,
-            # ~503 vs ~487 MFLOP at B=256
-            ((120, 120), (8, 8), (8, 8), 8, "chain"),
-            ((120, 120), (8, 8), (8, 8), 256, "reconstruct"),
-            # 4096 -> 4096 at d=4, ranks 8: rebuilding W costs ~302 MFLOP alone
-            ((8,) * 4, (8,) * 4, (8,) * 4, 8, "chain"),
-            ((8,) * 4, (8,) * 4, (8,) * 4, 128, "chain"),
-        ],
-    )
-    def test_plan_rule(self, c, s, ranks, batch, plan):
-        assert tt_fc_plan(batch, ChannelFactorization(c, s), ranks) == plan
 
     def test_paper_net_tt_fc_factorization(self):
         assert factorize_channels(14400, 64, 2) == ChannelFactorization((120, 120), (8, 8))
