@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 numeric check failed (gradcheck tolerance, or a
 training loss that is not finite), 2 parse failure (files, configs, or flags),
-3 shape or factor mismatch, or a tensor too large to materialize, 4 file IO
-failure, 5 missing training logs.  Numeric output uses 6 significant digits;
-compression ratios print with 2 decimals.
+3 shape or factor mismatch, a tensor too large to materialize, or an
+allocation the machine refuses, 4 file IO failure, 5 missing training logs.
+Numeric output uses 6 significant digits; compression ratios print with 2 decimals.
 """
 
 from __future__ import annotations
@@ -290,6 +290,9 @@ def main(argv=None):
         return EXIT_PARSE
     except (ShapeError, SizeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_SHAPE
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_SHAPE
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)

@@ -54,7 +54,9 @@ _INT_KEYS = {"seed", "epochs", "batch_size", "decay_every", "train_size", "test_
              "size", "dataset_seed", "init_seed"}
 _FLOAT_KEYS = {"lr", "momentum", "decay_factor", "noise"}
 _STR_KEYS = {"name", "dataset"}
-_POSITIVE_KEYS = ("epochs", "batch_size", "train_size", "test_size")
+# decay_every = 0 means no decay; stripes-blobs draws blob centres from [1, size - 2]
+_MIN_VALUES = {"epochs": 1, "batch_size": 1, "train_size": 1, "test_size": 1, "size": 3,
+               "decay_every": 0}
 
 DEFAULTS = {
     "name": "model",
@@ -100,9 +102,11 @@ def parse_config(text: str) -> dict:
             cfg[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    for key in _POSITIVE_KEYS:
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    for key, low in _MIN_VALUES.items():
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+    if not cfg["decay_factor"] > 0:
+        raise ConfigError(f"decay_factor must be positive, got {cfg['decay_factor']}")
     if "init_seed" not in cfg:
         cfg["init_seed"] = cfg["seed"]
     return cfg

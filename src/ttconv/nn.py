@@ -13,6 +13,9 @@ W is the (l, l, C, S) kernel flattened in C order.
 ``TTDense`` is the exception: it computes ``Y = X W`` through its cores one
 at a time (``ttmatrix.ttm_batch``) and never forms W.
 
+The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
+layer's W: a TT conv layer above it fails at its first forward pass.
+
 ``Network.backward`` only fills the parameter gradients.  Nothing reads the
 gradient of the network input, so the lowest parametrized layer skips its
 input gradient (``backward(dy, input_grad=False)``) and the layers below it
@@ -26,7 +29,7 @@ import math
 import numpy as np
 
 from .conv import col2im_batch, im2col_batch
-from .errors import ShapeError, TrainingDiverged
+from .errors import ShapeError, SizeError, TrainingDiverged
 from .kernels import (
     TTConvKernel,
     factorize_channels,
@@ -36,7 +39,7 @@ from .kernels import (
     ttconv_to_ttmatrix,
     ttconv_to_ttmatrix_grad,
 )
-from .tt import FULL_ELEMENT_CAP, tt_chain, tt_chain_grad
+from .tt import tt_chain, tt_chain_grad
 from .ttmatrix import ttm_batch, ttm_batch_vjp
 
 __all__ = [
@@ -104,13 +107,6 @@ class Layer:
         self.params = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
         self.grads = [np.zeros_like(p) for p in self.params]
         return self.params
-
-
-def _check_dense_size(n_elements):
-    if n_elements > FULL_ELEMENT_CAP:
-        raise ShapeError(
-            f"dense weight of {n_elements} elements exceeds the cap of {FULL_ELEMENT_CAP}"
-        )
 
 
 class _MatrixLayer(Layer):
@@ -250,7 +246,6 @@ class _ProposedTT:
             fact = factorize_channels(channels, n_out, self.d)
         if len(self.ranks) != fact.depth:
             raise ShapeError(f"need {fact.depth} interior ranks, got {len(self.ranks)}")
-        _check_dense_size(self.ell * self.ell * fact.c_padded * fact.s_padded)
         self.fact = fact
         chain = self.ranks + (1,)
         shapes = [(self.ell, self.ell, chain[0])]
@@ -296,7 +291,6 @@ class NaiveTTConv(_ConvLayer):
     def _init_weights(self, channels, n_out, rng):
         if len(self.ranks) != 3:
             raise ShapeError("naive TT kernel has 4 modes and needs 3 interior ranks")
-        _check_dense_size(self.ell * self.ell * channels * n_out)
         modes = (self.ell, self.ell, channels, n_out)
         chain = (1,) + self.ranks + (1,)
         shapes = [(chain[k], modes[k], chain[k + 1]) for k in range(4)]
@@ -606,8 +600,8 @@ class Network:
         for idx, layer in enumerate(self.layers):
             try:
                 out = layer.forward(out, train=train)
-            except ShapeError as e:
-                raise ShapeError(f"layer {idx} ({layer.kind}): {e}") from e
+            except (ShapeError, SizeError) as e:
+                raise type(e)(f"layer {idx} ({layer.kind}): {e}") from e
         return out
 
     def forward_loss(self, x, targets, train=False):

@@ -22,6 +22,11 @@ FULL_ELEMENT_CAP = 10**8
 # as tied at a truncation boundary; the tied value is kept.
 _TIE_RTOL = 1e-12
 
+# Under max_ranks, singular values at or below this (relative to the largest
+# one) count as zero; LAPACK returns an exact zero as 0.0 or ~1e-16 noise.
+# Not above 1e-14: a spectrum graded down to 1e-13 is real.
+_RANK_RTOL = 1e-14
+
 
 class TTTensor:
     """Immutable tensor in TT format.
@@ -171,11 +176,9 @@ def tt_svd(a, max_ranks=None, tol: float | None = None) -> TTTensor:
     re-orthonormalized by a thin QR.  Every core but the last is therefore
     left-orthonormal, and the ranks and the error are those of the sweep
     that takes a full SVD of each unfolding; cores may differ from it in
-    column signs.  One exception, under ``max_ranks`` only: an exactly zero
-    singular value (a zero slice gives one) comes out of LAPACK as 0.0 or as
-    rounding noise depending on the path it takes, in either sweep, so a
-    direction that carries nothing may be kept by one sweep and dropped by
-    the other.
+    column signs.  Under ``max_ranks`` a singular value at or below
+    ``_RANK_RTOL`` times the largest counts as zero, so a zero slice gives
+    the exact rank.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.size == 0:
@@ -212,7 +215,7 @@ def tt_svd(a, max_ranks=None, tol: float | None = None) -> TTTensor:
         else:
             _, s, vt = np.linalg.svd(np.linalg.qr(mat, mode="r"))
         if max_ranks is not None:
-            r = min(max_ranks[k], int(np.count_nonzero(s)))
+            r = min(max_ranks[k], int(np.count_nonzero(s > _RANK_RTOL * s[0])))
         else:
             r = _truncation_rank(s, budget)
         r = max(r, 1)

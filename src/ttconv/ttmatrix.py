@@ -52,12 +52,11 @@ def multi_to_index(multi, factors) -> int:
     return t
 
 
-def _interleave(a: np.ndarray, d: int) -> np.ndarray:
-    """(mu_1..mu_d, nu_1..nu_d) axes -> (mu_1, nu_1, ..., mu_d, nu_d)."""
-    perm = []
-    for k in range(d):
-        perm.extend((k, d + k))
-    return a.transpose(perm)
+def _matrix_axes(d: int) -> list:
+    """Axes that take the compound digits (mu_1, nu_1, ..., mu_d, nu_d) to
+    (mu_d..mu_1, nu_d..nu_1), which in C order are the M x N matrix's (digit
+    1 fastest); one C-order copy is cheaper than an F-order reshape."""
+    return [2 * k for k in reversed(range(d))] + [2 * k + 1 for k in reversed(range(d))]
 
 
 def to_compound_tensor(a: np.ndarray, row_factors, col_factors) -> np.ndarray:
@@ -70,9 +69,8 @@ def to_compound_tensor(a: np.ndarray, row_factors, col_factors) -> np.ndarray:
     m, n = math.prod(row_factors), math.prod(col_factors)
     if a.shape != (m, n):
         raise ShapeError(f"matrix shape {a.shape} does not match factors ({m}, {n})")
-    digits = a.reshape(row_factors + col_factors, order="F")
-    paired = _interleave(digits, d)
-    return np.ascontiguousarray(paired).reshape(
+    digits = a.reshape(row_factors[::-1] + col_factors[::-1])
+    return digits.transpose(np.argsort(_matrix_axes(d))).reshape(
         tuple(mk * nk for mk, nk in zip(row_factors, col_factors))
     )
 
@@ -81,13 +79,9 @@ def from_compound_tensor(t: np.ndarray, row_factors, col_factors) -> np.ndarray:
     """Inverse of to_compound_tensor."""
     row_factors = tuple(int(f) for f in row_factors)
     col_factors = tuple(int(f) for f in col_factors)
-    d = len(row_factors)
     pairs = t.reshape(tuple(x for mk, nk in zip(row_factors, col_factors) for x in (mk, nk)))
-    # (mu_1, nu_1, ..., mu_d, nu_d) -> (mu_d..mu_1, nu_d..nu_1): C order puts
-    # digit 1 fastest, and one C-order copy is cheaper than an F-order reshape
-    perm = [2 * k for k in reversed(range(d))] + [2 * k + 1 for k in reversed(range(d))]
     m, n = math.prod(row_factors), math.prod(col_factors)
-    return pairs.transpose(perm).reshape(m, n)
+    return pairs.transpose(_matrix_axes(len(row_factors))).reshape(m, n)
 
 
 class TTMatrix:

@@ -1,4 +1,5 @@
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -412,6 +413,73 @@ class TestTrainAndReport:
         assert proc.stderr == "error: training diverged (loss is not finite) at epoch 0\n"
 
 
+# 3 * 3 * 10000 * 1200 kernel entries, above the element cap
+OVERSIZE_CONV_CONFIG = """
+size = 3
+train_size = 2
+test_size = 2
+epochs = 1
+batch_size = 2
+layer = dense-conv 1 10000
+layer = {layer}
+layer = dense-fc 2
+"""
+
+ADDRESS_SPACE_LIMIT = 1 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+def ttconv_child(tmp_path, *argv, address_space_limit=False):
+    """``python -m ttconv *argv`` in a child process on one BLAS thread."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ttconv", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space if address_space_limit else None,
+    )
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "layer", ["tt-conv 3 1200 ranks=2,2", "naive-tt-conv 3 1200 ranks=1,1,1"]
+    )
+    def test_conv_above_cap_exit_3_at_first_forward(self, tmp_path, layer):
+        cfg = write_config(tmp_path, OVERSIZE_CONV_CONFIG.format(layer=layer))
+        proc = ttconv_child(tmp_path, "train", cfg, "-o", "log.csv")
+        kind = layer.split()[0]
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"error: layer 1 ({kind}): refusing to materialize 108000000 elements "
+            "(cap 100000000)\n"
+        )
+        assert proc.stdout == ""
+        assert not (tmp_path / "log.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # 10 images of 200000 x 200000 pixels
+            ("train_size = 64", "train_size = 10\nsize = 200000"),
+            # a 2-billion-column weight matrix
+            ("layer = dense-fc 2", "layer = dense-fc 2000000000"),
+        ],
+    )
+    def test_refused_allocation_exit_3(self, tmp_path, old, new):
+        assert old in TOY_CONFIG
+        cfg = write_config(tmp_path, TOY_CONFIG.replace(old, new))
+        proc = ttconv_child(tmp_path, "train", cfg, "-o", "log.csv", address_space_limit=True)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "log.csv").exists()
+
+
 class TestConfigErrors:
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bogus = 1\n")
@@ -439,6 +507,12 @@ class TestConfigErrors:
             ("epochs = 2", "epochs = 0", "epochs must be at least 1, got 0"),
             ("train_size = 64", "train_size = 0", "train_size must be at least 1, got 0"),
             ("test_size = 32", "test_size = 0", "test_size must be at least 1, got 0"),
+            ("test_size = 32", "test_size = 32\nsize = 0", "size must be at least 3, got 0"),
+            ("test_size = 32", "test_size = 32\nsize = 2", "size must be at least 3, got 2"),
+            ("decay_every = 20", "decay_every = -1", "decay_every must be at least 0, got -1"),
+            ("decay_factor = 10", "decay_factor = 0", "decay_factor must be positive, got 0.0"),
+            ("decay_factor = 10", "decay_factor = -10",
+             "decay_factor must be positive, got -10.0"),
         ],
     )
     def test_train_rejects_nonpositive_sizes_exit_2(self, tmp_path, capsys, old, new, message):

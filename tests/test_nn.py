@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from ttconv import kernels, nn
 from ttconv.config import build_network, load_config, load_dataset
 from ttconv.conv import conv2d_direct
-from ttconv.errors import ShapeError, TrainingDiverged
+from ttconv.errors import ShapeError, SizeError, TrainingDiverged
 from ttconv.kernels import (
     ChannelFactorization,
     TTConvKernel,
@@ -469,13 +469,52 @@ class TestPaddedChannels:
             assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
 
 
+def _train_one_step(net, in_shape, n_out):
+    """Build ``net``, run one forward/backward/SGD step at batch 2 and return the loss."""
+    net.build(in_shape, np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((2,) + in_shape)
+    _, loss = net.forward_loss(x, np.array([0, n_out - 1]), train=True)
+    net.backward()
+    SGDMomentum(0.01).step(net)
+    return loss
+
+
 class TestOversizeGuard:
-    def test_tt_fc_above_cap_rejected_at_build(self):
+    """The element cap applies where W is formed: tt-fc never forms it."""
+
+    def test_tt_fc_above_cap_builds_and_trains(self):
         fact = ChannelFactorization((1024, 1024), (16, 16))
         assert 2**20 * 256 > FULL_ELEMENT_CAP
         net = Network([TTDense(256, ranks=(2, 2), factors=fact)])
-        with pytest.raises(ShapeError, match=r"layer 0 \(tt-fc\).*exceeds the cap"):
-            net.build((1024, 1024, 1), np.random.default_rng(0))
+        assert np.isfinite(_train_one_step(net, (1024, 1024, 1), 256))
+
+    @pytest.mark.parametrize(
+        "c,s,ranks,d,factors",
+        [
+            # VGG fc6 (Novikov et al. 2015)
+            (25088, 4096, (8, 8, 8, 8), 4, ((16, 14, 14, 8), (8, 8, 8, 8))),
+            (16384, 16384, (8, 8), 2, ((128, 128), (128, 128))),
+        ],
+    )
+    def test_large_tt_fc_trains_without_forming_w(self, c, s, ranks, d, factors):
+        layer = TTDense(s, ranks=ranks, d=d)
+        assert np.isfinite(_train_one_step(Network([layer]), (c,), s))
+        assert (layer.fact.c_factors, layer.fact.s_factors) == factors
+        assert np.isfinite(layer.grads[1]).all() and np.abs(layer.grads[1]).max() > 0
+        with pytest.raises(SizeError, match="refusing to materialize"):
+            layer.weight_matrix()
+
+    @pytest.mark.parametrize("kind", ["tt-conv", "naive-tt-conv"])
+    def test_conv_above_cap_fails_at_first_forward(self, kind):
+        # 3 * 3 * 10000 * 1200 kernel entries; the layer's input has 10000 channels
+        if kind == "tt-conv":
+            layer = TTConv(3, 1200, ranks=(2, 2))
+        else:
+            layer = NaiveTTConv(3, 1200, ranks=(1, 1, 1))
+        net = Network([Conv2D(1, 10000), layer])
+        net.build((3, 3, 1), np.random.default_rng(0))
+        with pytest.raises(SizeError, match=rf"^layer 1 \({kind}\): refusing to materialize"):
+            net.forward(np.ones((1, 3, 3, 1)))
 
 
 # (input features, outputs, d, ranks): unpadded, padded outputs, padded

@@ -130,6 +130,25 @@ class TestTTSVD:
             tt = tt_svd(a, tol=tol)
             assert rel_err(a, tt_full(tt)) <= tol
 
+    @pytest.mark.parametrize(
+        "shape,index,ranks",
+        [
+            ((6, 6), (2,), (1, 5, 1)),  # square, zero row
+            ((6, 8), (3,), (1, 5, 1)),  # wide unfolding, zero row
+            ((8, 6), (slice(None), 3), (1, 5, 1)),  # tall unfolding, zero column
+            ((6, 4, 5), (1,), (1, 5, 5, 1)),
+            ((4, 6, 5), (slice(None), slice(None), 2), (1, 4, 4, 1)),
+        ],
+    )
+    def test_zero_slice_gives_exact_ranks_under_caps(self, shape, index, ranks):
+        # the zero slice's singular value comes out of LAPACK as rounding noise
+        for seed in range(10):
+            a = np.random.default_rng(seed).standard_normal(shape)
+            a[index] = 0.0
+            tt = tt_svd(a, max_ranks=(100,) * (a.ndim - 1))
+            assert tt.ranks == ranks
+            assert rel_err(a, tt_full(tt)) <= 1e-13
+
     def test_zero_tensor(self):
         tt = tt_svd(np.zeros((3, 4, 2)), tol=0.1)
         assert tt.ranks == (1, 1, 1, 1)
