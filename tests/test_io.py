@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ttconv.io import (
     FormatError,
@@ -24,7 +24,12 @@ from ttconv.io import (
     save_ttconv,
     save_ttmatrix,
 )
-from ttconv.kernels import ChannelFactorization, factorize_channels, random_ttconv_kernel
+from ttconv.kernels import (
+    ChannelFactorization,
+    TTConvKernel,
+    factorize_channels,
+    random_ttconv_kernel,
+)
 from ttconv.tt import random_tt, tt_full
 from ttconv.ttmatrix import TTMatrix, ttm_full
 
@@ -138,6 +143,25 @@ class TestTTMatrix:
         assert b1 == b2
 
 
+def pinned_ttconv_kernel():
+    """l = 2, C = S = 2x2 with one dummy channel each, ranks (1, 2, 3, 1), entries 1..44."""
+    g0 = np.arange(1, 9.0).reshape(2, 2, 2)
+    cores = [np.arange(9, 33.0).reshape(2, 2, 2, 3), np.arange(33, 45.0).reshape(3, 2, 2, 1)]
+    return TTConvKernel(2, ChannelFactorization((2, 2), (2, 2), 1, 1), g0, cores)
+
+
+PINNED_TTCV_F32 = bytes.fromhex(
+    "545443560100000001000000020000000200000002000000000000000200000000000000"
+    "020000000000000002000000000000000100000001000000010000000000000002000000"
+    "00000000030000000000000001000000000000000000803f000000400000a0400000c040"
+    "00004040000080400000e040000000410000104100002041000030410000a8410000b041"
+    "0000b8410000404100005041000060410000c0410000c8410000d0410000704100008041"
+    "000088410000d8410000e0410000e84100009041000098410000a0410000f0410000f841"
+    "0000004200000442000014420000244200000842000018420000284200000c4200001c42"
+    "00002c42000010420000204200003042"
+)
+
+
 class TestTTConv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -169,6 +193,40 @@ class TestTTConv:
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="l must be at least 1, got 0"):
             load_ttconv(p)
+
+    def test_payload_layout(self, tmp_path):
+        # padded l = 2, d = 2 kernel with distinct entries; the expected bytes are
+        # built entry by entry: spatial slice x + l*y, then compound slice c*S + s,
+        # each slice's r_k x r_{k+1} matrix row-major
+        tk = pinned_ttconv_kernel()
+        p = tmp_path / "t.ttcv"
+        save_ttconv(p, tk)
+        header = (
+            b"TTCV" + struct.pack("<4I", 1, 0, 2, 2) + struct.pack("<4Q", 2, 2, 2, 2)
+            + struct.pack("<2I", 1, 1) + struct.pack("<4Q", 1, 2, 3, 1)
+        )
+        values = [tk.g0[x, y, r] for y in range(2) for x in range(2) for r in range(2)]
+        for core in tk.cores:
+            r_in, ck, sk, r_out = core.shape
+            values += [
+                core[i, c, s, j]
+                for c in range(ck) for s in range(sk) for i in range(r_in) for j in range(r_out)
+            ]
+        assert p.read_bytes() == header + struct.pack(f"<{len(values)}d", *values)
+
+    def test_file_from_earlier_release(self, tmp_path):
+        # pinned_ttconv_kernel() saved as f32 by the previous release of this package
+        p = tmp_path / "pinned.ttcv"
+        p.write_bytes(PINNED_TTCV_F32)
+        back = load_ttconv(p)
+        tk = pinned_ttconv_kernel()
+        assert back.fact == tk.fact
+        assert_array_equal(back.g0, tk.g0)
+        assert len(back.cores) == len(tk.cores)
+        for a, b in zip(back.cores, tk.cores):
+            assert_array_equal(a, b)
+        save_ttconv(tmp_path / "again.ttcv", back, dtype="f32")
+        assert (tmp_path / "again.ttcv").read_bytes() == PINNED_TTCV_F32
 
     def test_depth_1_and_3_kernels(self, tmp_path):
         rng = np.random.default_rng(11)
