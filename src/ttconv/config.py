@@ -29,6 +29,8 @@ Layer grammar (positional sizes first, ``key=value`` options after):
 
 from __future__ import annotations
 
+import math
+
 from . import data as data_mod
 from .kernels import ChannelFactorization
 from .nn import (
@@ -98,6 +100,8 @@ def parse_config(text: str) -> dict:
                 cfg[key] = float(value)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} must be a number") from None
+            if not math.isfinite(cfg[key]):
+                raise ConfigError(f"line {lineno}: {key} must be finite, got {value}")
         elif key in _STR_KEYS:
             cfg[key] = value
         else:

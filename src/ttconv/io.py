@@ -13,7 +13,9 @@ in memory).  Layouts:
            d x u64 col factors | embedded ``.tt`` stream for the compound TT.
 ``.ttcv``  magic ``TTCV`` | version | dtype | u32 l | u32 d | d x u64
            c_factors | d x u64 s_factors | u32 pad_c | u32 pad_s |
-           (d+2) x u64 ranks | spatial core then channel cores, slice-major.
+           (d+2) x u64 ranks | the kernel's TT chain over the modes
+           (l*l, C_1*S_1, ..., C_d*S_d), its cores written as in ``.tt``:
+           spatial slice x + l*y, compound slice c*S + s.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import struct
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import ChannelFactorization, TTConvKernel
+from .kernels import ChannelFactorization, TTConvKernel, _kernel_cores
 from .tt import TTTensor
 from .ttmatrix import TTMatrix
 
@@ -135,9 +137,17 @@ def load_dense(path) -> np.ndarray:
 
 # -- TT tensors --------------------------------------------------------------
 
-def _core_to_slice_major(core):
-    # (r_prev, n, r_next) -> slice index outer, then row, then column
-    return core.transpose(1, 0, 2)
+def _write_cores(f, cores, dtype):
+    for core in cores:  # (r_prev, n, r_next): slice index outer, then row, then column
+        _write_values(f, core.transpose(1, 0, 2), dtype)
+
+
+def _read_cores(f, modes, ranks, np_dtype) -> list:
+    """Cores (r_prev, n, r_next) written by ``_write_cores``."""
+    return [
+        _read_values(f, (n, r_prev, r_next), np_dtype).transpose(1, 0, 2)
+        for n, r_prev, r_next in zip(modes, ranks, ranks[1:])
+    ]
 
 
 def _write_tt_stream(f, tt: TTTensor, dtype):
@@ -145,8 +155,7 @@ def _write_tt_stream(f, tt: TTTensor, dtype):
     _write_u32(f, tt.ndim)
     _write_u64s(f, tt.mode_sizes)
     _write_u64s(f, tt.ranks)
-    for core in tt.cores:
-        _write_values(f, _core_to_slice_major(core), dtype)
+    _write_cores(f, tt.cores, dtype)
 
 
 def _read_tt_stream(f) -> TTTensor:
@@ -154,11 +163,7 @@ def _read_tt_stream(f) -> TTTensor:
     d = _read_u32(f)
     modes = _read_u64s(f, d)
     ranks = _read_u64s(f, d + 1)
-    cores = []
-    for k in range(d):
-        r_prev, n, r_next = ranks[k], modes[k], ranks[k + 1]
-        cores.append(_read_values(f, (n, r_prev, r_next), np_dtype).transpose(1, 0, 2))
-    return _construct(TTTensor, cores)
+    return _construct(TTTensor, _read_cores(f, modes, ranks, np_dtype))
 
 
 def save_tt(path, tt: TTTensor, dtype="f64"):
@@ -202,11 +207,7 @@ def save_ttconv(path, tk: TTConvKernel, dtype="f64"):
         _write_u64s(f, tk.fact.s_factors)
         _write_u32(f, tk.fact.pad_c, tk.fact.pad_s)
         _write_u64s(f, tk.ranks)
-        # spatial slices ordered x + l*y (x fastest), then r1 entries each
-        _write_values(f, tk.g0.transpose(1, 0, 2), dtype)
-        for core in tk.cores:
-            # slice index c*S + s outer, then the r_k x r_{k+1} matrix row-major
-            _write_values(f, core.transpose(1, 2, 0, 3), dtype)
+        _write_cores(f, tk.tt.cores, dtype)
 
 
 def load_ttconv(path) -> TTConvKernel:
@@ -220,14 +221,9 @@ def load_ttconv(path) -> TTConvKernel:
         if ranks[0] != 1:  # implicit in TTConvKernel, so only the file can get it wrong
             raise FormatError("boundary TT-ranks must equal 1")
         fact = _construct(ChannelFactorization, c_factors, s_factors, pad_c, pad_s)
-        g0 = _read_values(f, (ell, ell, ranks[1]), np_dtype).transpose(1, 0, 2)
-        cores = []
-        for k in range(d):
-            r_in, r_out = ranks[k + 1], ranks[k + 2]
-            ck, sk = c_factors[k], s_factors[k]
-            values = _read_values(f, (ck, sk, r_in, r_out), np_dtype)
-            cores.append(values.transpose(2, 0, 1, 3))
-        return _construct(TTConvKernel, ell, fact, g0, cores)
+        modes = (ell * ell,) + tuple(c * s for c, s in zip(c_factors, s_factors))
+        chain = _read_cores(f, modes, ranks, np_dtype)
+        return _construct(TTConvKernel, ell, fact, *_kernel_cores(chain, ell, fact))
 
 
 # -- format dispatch ---------------------------------------------------------
@@ -240,14 +236,10 @@ _LOADERS = {
 }
 
 
-def peek_magic(path) -> bytes:
-    with open(path, "rb") as f:
-        return f.read(4)
-
-
 def load_any(path):
     """Load whichever container the file's magic declares."""
-    magic = peek_magic(path)
+    with open(path, "rb") as f:
+        magic = f.read(4)
     loader = _LOADERS.get(magic)
     if loader is None:
         raise FormatError(f"unrecognized magic {magic!r}")

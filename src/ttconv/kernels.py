@@ -13,7 +13,9 @@ vectors, the spatial slice index is ``x + l * y`` and the compound slice index
 within mode k is ``c_k * S_k + s_k``, matching the matrix-TT convention.  The
 chain's entries are thus in C order of the digits (y, x, c_1, s_1, ..., c_d,
 s_d), the kernel's in C order of (x, y, c_d..c_1, s_d..s_1): one permutation,
-from ``_kernel_layout``, maps either to the other.  The forward convolution
+from ``_kernel_layout``, maps either to the other.  ``TTConvKernel`` holds
+its chain as a ``TTTensor``; ``_chain_cores`` and its inverse ``_kernel_cores``
+map between the chain's cores and (G0, G1, ..., Gd).  The forward convolution
 multiplies ``im2col_batch`` patches by the kernel flattened in C order, which
 ``ttconv_matrix`` rebuilds from the cores; ``ttconv_matrix_grad`` is its VJP.
 
@@ -155,58 +157,42 @@ def factorize_channels(channels_in: int, channels_out: int, d: int) -> ChannelFa
 
 
 class TTConvKernel:
-    """Convolution kernel stored as a spatial core plus d channel cores.
+    """Convolution kernel held as its TT chain ``tt`` over (l*l, C_1*S_1, ..., C_d*S_d).
 
-    ``g0`` has shape (l, l, r1); channel core k has shape
-    (r_k, C_k, S_k, r_{k+1}) with r_{d+1} = 1.
-    """
+    ``g0`` (l, l, r1) and the channel cores (r_k, C_k, S_k, r_{k+1}), r_{d+1} = 1,
+    are read-only views of the chain's cores."""
 
-    __slots__ = ("ell", "fact", "g0", "cores")
+    __slots__ = ("ell", "fact", "tt", "g0", "cores")
 
     def __init__(self, ell: int, fact: ChannelFactorization, g0, cores):
-        g0 = np.array(g0, dtype=np.float64)
-        cores = [np.array(c, dtype=np.float64) for c in cores]
         if ell < 1:
             raise ShapeError(f"spatial size l must be at least 1, got {ell}")
-        if g0.ndim != 3 or g0.shape[0] != g0.shape[1] or g0.shape[0] != ell:
+        g0, cores = np.asarray(g0), [np.asarray(c) for c in cores]
+        if g0.ndim != 3 or g0.shape[:2] != (ell, ell):
             raise ShapeError(f"spatial core must be {ell} x {ell} x r1, got {g0.shape}")
         if len(cores) != fact.depth:
             raise ShapeError(f"expected {fact.depth} channel cores, got {len(cores)}")
-        r_prev = g0.shape[2]
-        for k, core in enumerate(cores):
-            if r_prev < 1:
-                raise ShapeError(f"TT-rank {k + 1} is {r_prev}, must be at least 1")
-            ck, sk = fact.c_factors[k], fact.s_factors[k]
-            if core.ndim != 4 or core.shape[:3] != (r_prev, ck, sk):
-                raise ShapeError(
-                    f"channel core {k} must be ({r_prev}, {ck}, {sk}, r), got {core.shape}"
-                )
-            r_prev = core.shape[3]
-        if r_prev != 1:
+        for k, (core, ck, sk) in enumerate(zip(cores, fact.c_factors, fact.s_factors)):
+            if core.ndim != 4 or core.shape[1:3] != (ck, sk):
+                raise ShapeError(f"channel core {k} must be (r, {ck}, {sk}, r'), got {core.shape}")
+        if cores[-1].shape[3] != 1:
             raise ShapeError("final TT-rank must equal 1")
-        g0.flags.writeable = False
-        for core in cores:
-            core.flags.writeable = False
         self.ell = ell
         self.fact = fact
-        self.g0 = g0
-        self.cores = tuple(cores)
+        self.tt = TTTensor(_chain_cores(g0, cores))
+        self.g0, self.cores = _kernel_cores(self.tt.cores, ell, fact)
 
     @property
     def ranks(self) -> tuple:
-        return (1, self.g0.shape[2]) + tuple(c.shape[3] for c in self.cores)
+        return self.tt.ranks
 
     @property
     def param_count(self) -> int:
-        r1 = self.g0.shape[2]
-        total = self.ell * self.ell * r1
-        for core in self.cores:
-            total += core.size
-        return total
+        return tt_param_count(self.tt)
 
     def as_tt(self) -> TTTensor:
         """The underlying TT over modes (l*l, C_1*S_1, ..., C_d*S_d)."""
-        return TTTensor(_chain_cores(self.g0, self.cores))
+        return self.tt
 
     def __repr__(self):
         return (
@@ -226,17 +212,9 @@ def ttconv_from_dense(kernel, fact: ChannelFactorization, max_ranks=None, tol=No
             f"({fact.channels_in}, {fact.channels_out})"
         )
     ell = kernel.shape[0]
-    digits, axes = _kernel_layout(ell, fact)
-    padded = np.pad(kernel, ((0, 0), (0, 0), (0, fact.pad_c), (0, fact.pad_s)))
     modes = (ell * ell,) + tuple(c * s for c, s in zip(fact.c_factors, fact.s_factors))
-    tensor = padded.reshape([digits[a] for a in axes]).transpose(np.argsort(axes)).reshape(modes)
-    tt = tt_svd(tensor, max_ranks=max_ranks, tol=tol)
-    g0 = tt.cores[0].reshape(ell, ell, -1).transpose(1, 0, 2)
-    cores = [
-        core.reshape(core.shape[0], ck, sk, core.shape[2])
-        for core, ck, sk in zip(tt.cores[1:], fact.c_factors, fact.s_factors)
-    ]
-    return TTConvKernel(ell, fact, g0, cores)
+    tt = tt_svd(_chain_entries(kernel, fact).reshape(modes), max_ranks=max_ranks, tol=tol)
+    return TTConvKernel(ell, fact, *_kernel_cores(tt.cores, ell, fact))
 
 
 def _chain_cores(g0, cores) -> list:
@@ -249,6 +227,16 @@ def _chain_cores(g0, cores) -> list:
     return chain
 
 
+def _kernel_cores(chain, ell, fact: ChannelFactorization):
+    """Inverse of ``_chain_cores``: (g0, channel cores) of a TT-conv kernel's chain."""
+    g0 = chain[0].reshape(ell, ell, chain[0].shape[2]).transpose(1, 0, 2)
+    cores = tuple(
+        core.reshape(core.shape[0], ck, sk, core.shape[2])
+        for core, ck, sk in zip(chain[1:], fact.c_factors, fact.s_factors)
+    )
+    return g0, cores
+
+
 def _kernel_layout(ell, fact: ChannelFactorization):
     """Digit shape (y, x, c_1, s_1, ..., c_d, s_d) of the chain's entries, and the
     axes that order those digits as the padded kernel's (x, y, c_d..c_1, s_d..s_1)."""
@@ -256,6 +244,16 @@ def _kernel_layout(ell, fact: ChannelFactorization):
     digits = (ell, ell) + tuple(f for pair in zip(fact.c_factors, fact.s_factors) for f in pair)
     axes = (1, 0) + tuple(range(2 * d, 0, -2)) + tuple(range(2 * d + 1, 1, -2))
     return digits, axes
+
+
+def _chain_entries(kernel, fact: ChannelFactorization):
+    """An (l, l, C, S) kernel, zero-padded to (C_pad, S_pad), in the chain's digit order."""
+    ell, _, channels, n_out = kernel.shape
+    if (channels, n_out) != (fact.c_padded, fact.s_padded):
+        widths = ((0, 0), (0, 0), (0, fact.c_padded - channels), (0, fact.s_padded - n_out))
+        kernel = np.pad(kernel, widths)
+    digits, axes = _kernel_layout(ell, fact)
+    return kernel.reshape([digits[a] for a in axes]).transpose(np.argsort(axes))
 
 
 def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.ndarray:
@@ -275,16 +273,9 @@ def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.nd
 def ttconv_matrix_grad(g0, cores, fact: ChannelFactorization, dmat):
     """Gradients (dg0, dcores) of ``sum(dmat * ttconv_matrix(g0, cores, fact, C))``."""
     ell = g0.shape[0]
-    digits, axes = _kernel_layout(ell, fact)
-    channels, n_out = dmat.shape[0] // (ell * ell), dmat.shape[1]
-    dkernel = dmat.reshape(ell, ell, channels, n_out)
-    if (channels, n_out) != (fact.c_padded, fact.s_padded):
-        widths = ((0, 0), (0, 0), (0, fact.c_padded - channels), (0, fact.s_padded - n_out))
-        dkernel = np.pad(dkernel, widths)
-    dfull = dkernel.reshape([digits[a] for a in axes]).transpose(np.argsort(axes)).reshape(-1)
-    grads = tt_chain_grad(_chain_cores(g0, cores), dfull)
-    dg0 = grads[0].reshape(ell, ell, -1).transpose(1, 0, 2)
-    return dg0, [g.reshape(core.shape) for g, core in zip(grads[1:], cores)]
+    dkernel = dmat.reshape(ell, ell, dmat.shape[0] // (ell * ell), dmat.shape[1])
+    dfull = _chain_entries(dkernel, fact).reshape(-1)
+    return _kernel_cores(tt_chain_grad(_chain_cores(g0, cores), dfull), ell, fact)
 
 
 def ttconv_to_dense(tk: TTConvKernel) -> np.ndarray:
@@ -334,20 +325,19 @@ def ttconv_to_ttmatrix_grad(tk: TTConvKernel, dcores):
     return dg0, dchan
 
 
-def random_ttconv_kernel(ell: int, fact: ChannelFactorization, ranks, rng) -> TTConvKernel:
-    """TT kernel with standard normal cores at the given interior ranks.
-
-    ``ranks`` lists (r_1, ..., r_d); the boundary ranks are 1.
-    """
-    ranks = tuple(int(r) for r in ranks)
+def ttconv_core_shapes(ell: int, fact: ChannelFactorization, ranks) -> list:
+    """Shapes of g0 and the channel cores at interior ranks (r_1, ..., r_d)."""
     if len(ranks) != fact.depth:
-        raise ShapeError(f"expected {fact.depth} interior ranks, got {len(ranks)}")
-    chain = ranks + (1,)
-    g0 = rng.standard_normal((ell, ell, chain[0]))
-    cores = [
-        rng.standard_normal((chain[k], fact.c_factors[k], fact.s_factors[k], chain[k + 1]))
-        for k in range(fact.depth)
+        raise ShapeError(f"need {fact.depth} interior ranks, got {len(ranks)}")
+    chain = tuple(int(r) for r in ranks) + (1,)
+    return [(ell, ell, chain[0])] + [
+        (chain[k], fact.c_factors[k], fact.s_factors[k], chain[k + 1]) for k in range(fact.depth)
     ]
+
+
+def random_ttconv_kernel(ell: int, fact: ChannelFactorization, ranks, rng) -> TTConvKernel:
+    """TT kernel with standard normal cores at the given interior ranks (r_1, ..., r_d)."""
+    g0, *cores = [rng.standard_normal(shape) for shape in ttconv_core_shapes(ell, fact, ranks)]
     return TTConvKernel(ell, fact, g0, cores)
 
 

@@ -32,8 +32,10 @@ from .conv import col2im_batch, im2col_batch
 from .errors import ShapeError, SizeError, TrainingDiverged
 from .kernels import (
     TTConvKernel,
+    compression_ratio,
     factorize_channels,
     fit_factorization,
+    ttconv_core_shapes,
     ttconv_matrix,
     ttconv_matrix_grad,
     ttconv_to_ttmatrix,
@@ -244,13 +246,8 @@ class _ProposedTT:
             fact = fit_factorization(self.factors, channels, n_out)
         else:
             fact = factorize_channels(channels, n_out, self.d)
-        if len(self.ranks) != fact.depth:
-            raise ShapeError(f"need {fact.depth} interior ranks, got {len(self.ranks)}")
+        shapes = ttconv_core_shapes(self.ell, fact, self.ranks)
         self.fact = fact
-        chain = self.ranks + (1,)
-        shapes = [(self.ell, self.ell, chain[0])]
-        for k in range(fact.depth):
-            shapes.append((chain[k], fact.c_factors[k], fact.s_factors[k], chain[k + 1]))
         return _scaled_tt_init(rng, shapes, self.ell * self.ell * channels)
 
     def weight_matrix(self):
@@ -554,6 +551,13 @@ class SoftmaxCrossEntropy(Layer):
     kind = "softmax-cross-entropy"
 
     def forward(self, logits, targets, train=False):
+        targets = np.asarray(targets)
+        if logits.ndim != 2 or targets.shape != logits.shape[:1]:
+            got = f"{logits.shape} logits for {targets.shape} targets"
+            raise ShapeError(f"{self.kind} expects (batch, classes) logits, got {got}")
+        if targets.size and not 0 <= targets.min() <= targets.max() < logits.shape[1]:
+            got = f"{targets.min()}..{targets.max()}"
+            raise ShapeError(f"{self.kind}: targets must lie in [0, {logits.shape[1]}), got {got}")
         z = logits - logits.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
         log_probs = z - log_norm
@@ -570,6 +574,16 @@ class SoftmaxCrossEntropy(Layer):
         return dy * grad / b
 
 
+def _named(idx, layer, method, *args):
+    """``method(*args)``, naming the layer in a ShapeError, SizeError or MemoryError."""
+    try:
+        return method(*args)
+    except (ShapeError, SizeError) as e:
+        raise type(e)(f"layer {idx} ({layer.kind}): {e}") from e
+    except MemoryError as e:  # numpy's _ArrayMemoryError takes (shape, dtype)
+        raise MemoryError(f"layer {idx} ({layer.kind}): {str(e) or 'out of memory'}") from e
+
+
 class Network:
     """Sequential stack of layers followed by a softmax cross-entropy head."""
 
@@ -582,10 +596,7 @@ class Network:
         shape = tuple(input_shape)
         self.input_shape = shape
         for idx, layer in enumerate(self.layers):
-            try:
-                shape = layer.build(shape, rng)
-            except ShapeError as e:
-                raise ShapeError(f"layer {idx} ({layer.kind}): {e}") from e
+            shape = _named(idx, layer, layer.build, shape, rng)
         return shape
 
     def forward(self, x, train=False):
@@ -598,10 +609,7 @@ class Network:
                 f"{self.input_shape}"
             )
         for idx, layer in enumerate(self.layers):
-            try:
-                out = layer.forward(out, train=train)
-            except (ShapeError, SizeError) as e:
-                raise type(e)(f"layer {idx} ({layer.kind}): {e}") from e
+            out = _named(idx, layer, layer.forward, out, train)
         return out
 
     def forward_loss(self, x, targets, train=False):
@@ -654,7 +662,7 @@ class Network:
 
     @property
     def compression(self):
-        return self.dense_param_count / self.param_count
+        return compression_ratio(self.dense_param_count, self.param_count)
 
 
 class SGDMomentum:
@@ -666,8 +674,8 @@ class SGDMomentum:
     """
 
     def __init__(self, lr, momentum=0.9, decay_every=None, decay_factor=10.0):
-        if lr < 0:
-            raise ValueError("learning rate cannot be negative")
+        if not lr >= 0:
+            raise ValueError(f"learning rate must be a non-negative number, got {lr}")
         self.initial_lr = lr
         self.lr = lr
         self.momentum = momentum
@@ -701,9 +709,12 @@ def gradcheck(net: Network, x, targets, h=1e-6, tol=1e-5, corrupt=False):
     absolutely.  ``corrupt`` deliberately offsets one analytic gradient entry
     (a negative control: the report must flag it).  Returns a list of dicts
     with keys layer, kind, params, max_rel_err, ok; a non-finite error makes
-    its row's max_rel_err non-finite and ok False.  Batch-norm running
+    its row's max_rel_err non-finite and ok False; a network without
+    parameters gives an empty list without a forward pass.  Batch-norm running
     statistics, which every training-mode forward moves, are restored on exit.
     """
+    if not net.parameter_blocks():
+        return []
     # BatchNorm.forward rebinds the running stats instead of updating them in
     # place, so holding the current arrays is a snapshot
     norms = [layer for layer in net.layers if isinstance(layer, BatchNorm)]

@@ -463,9 +463,9 @@ class TestSizeLimits:
     @pytest.mark.parametrize(
         "old,new",
         [
-            # 10 images of 200000 x 200000 pixels
+            # 10 images of 200000 x 200000 pixels: refused while generating the data
             ("train_size = 64", "train_size = 10\nsize = 200000"),
-            # a 2-billion-column weight matrix
+            # a 2-billion-column weight matrix: refused while layer 3 builds
             ("layer = dense-fc 2", "layer = dense-fc 2000000000"),
         ],
     )
@@ -474,10 +474,45 @@ class TestSizeLimits:
         cfg = write_config(tmp_path, TOY_CONFIG.replace(old, new))
         proc = ttconv_child(tmp_path, "train", cfg, "-o", "log.csv", address_space_limit=True)
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("error: Unable to allocate")
+        named = "layer 3 (dense-fc): " if "dense-fc" in new else ""
+        assert proc.stderr.startswith(f"error: {named}Unable to allocate")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "log.csv").exists()
+
+
+class TestLossHeadInput:
+    """Logits that are not (batch, classes), or too few classes for the
+    targets, are a shape mismatch (exit 3) named by the loss head."""
+
+    @pytest.mark.parametrize(
+        "layers,message",
+        [
+            ("layer = relu",
+             "error: softmax-cross-entropy expects (batch, classes) logits, "
+             "got (32, 16, 16, 1) logits for (32,) targets\n"),
+            ("layer = dense-conv 3 4\nlayer = relu\nlayer = max-pool\nlayer = dense-fc 1",
+             "error: softmax-cross-entropy: targets must lie in [0, 1), got 0..1\n"),
+            ("layer = dense-conv 3 4\nlayer = relu\nlayer = max-pool\nlayer = dense-conv 3 2",
+             "error: softmax-cross-entropy expects (batch, classes) logits, "
+             "got (32, 4, 4, 2) logits for (32,) targets\n"),
+        ],
+    )
+    def test_train_exit_3(self, tmp_path, capsys, layers, message):
+        text = TOY_CONFIG.split("layer =", 1)[0] + layers
+        cfg = write_config(tmp_path, text)
+        log_path = tmp_path / "toy.csv"
+        code, out, err = run(capsys, "train", cfg, "-o", str(log_path))
+        assert (code, out, err) == (3, "", message)
+        assert not log_path.exists()
+
+    def test_gradcheck_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TOY_CONFIG.replace("dense-fc 2", "dense-conv 3 2"))
+        code, out, err = run(capsys, "gradcheck", cfg)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: softmax-cross-entropy expects (batch, classes) logits")
+        assert err.count("\n") == 1
 
 
 class TestConfigErrors:
@@ -490,6 +525,24 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "layer = warp-drive 3 4\ntrain_size = 8\ntest_size = 8\n")
         code, _, _ = run(capsys, "gradcheck", cfg)
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "old,key", [("lr = 0.05", "lr"), ("momentum = 0.9", "momentum"),
+                    ("decay_factor = 10", "decay_factor"), ("epochs = 2", "noise")]
+    )
+    def test_train_rejects_non_finite_floats_exit_2(self, tmp_path, capsys, old, key, value):
+        assert old in TOY_CONFIG
+        new = f"{key} = {value}" if key != "noise" else f"{old}\nnoise = {value}"
+        cfg = write_config(tmp_path, TOY_CONFIG.replace(old, new))
+        lineno = next(i for i, line in enumerate(Path(cfg).read_text().splitlines(), 1)
+                      if line.startswith(f"{key} ="))
+        log_path = tmp_path / "toy.csv"
+        code, out, err = run(capsys, "train", cfg, "-o", str(log_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: line {lineno}: {key} must be finite, got {value}\n"
+        assert not log_path.exists()
 
     @pytest.mark.parametrize(
         "old,new,message",

@@ -144,6 +144,20 @@ class TestLayerForward:
         assert np.all(np.abs(y.mean(axis=(0, 1, 2))) < 1e-10)
         assert_allclose(y.std(axis=(0, 1, 2)), 1.0, atol=1e-3)
 
+    @pytest.mark.parametrize(
+        "logits,targets,message",
+        [
+            (np.zeros((4, 2, 2, 2)), [0, 1, 0, 1], r"expects \(batch, classes\) logits"),
+            (np.zeros(4), [0, 1, 0, 1], r"expects \(batch, classes\) logits"),
+            (np.zeros((4, 2)), [0, 1, 0], r"expects \(batch, classes\) logits"),
+            (np.zeros((4, 1)), [0, 1, 0, 1], r"targets must lie in \[0, 1\), got 0..1"),
+            (np.zeros((4, 2)), [0, -1, 0, 1], r"targets must lie in \[0, 2\), got -1..1"),
+        ],
+    )
+    def test_softmax_loss_checks_its_input(self, logits, targets, message):
+        with pytest.raises(ShapeError, match=message):
+            SoftmaxCrossEntropy().forward(logits, np.array(targets), train=True)
+
     def test_softmax_loss_uniform(self):
         loss = SoftmaxCrossEntropy()
         logits = np.zeros((4, 2))
@@ -156,11 +170,61 @@ class TestLayerForward:
             layer.backward(np.ones(3))
 
 
+class _NumpyStyleMemoryError(MemoryError):
+    """Like numpy's _ArrayMemoryError: constructed from (shape, dtype), not a message."""
+
+    def __init__(self, shape, dtype):
+        super().__init__(shape, dtype)
+
+    def __str__(self):
+        return "Unable to allocate"
+
+
+class _Failing(ReLU):
+    kind = "failing"
+
+    def __init__(self, error, when):
+        super().__init__()
+        self.error, self.when = error, when
+
+    def build(self, in_shape, rng):
+        if self.when == "build":
+            raise self.error
+        return super().build(in_shape, rng)
+
+    def forward(self, x, train=False):
+        if self.when == "forward":
+            raise self.error
+        return super().forward(x, train)
+
+
 class TestNetworkForward:
     def test_shape_chain_error_names_layer(self):
         net = Network([Conv2D(3, 4), Conv2D(9, 4)])
         with pytest.raises(ShapeError, match="layer 1"):
             net.build((8, 8, 1), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("when", ["build", "forward"])
+    @pytest.mark.parametrize(
+        "error,expected",
+        [
+            (ShapeError("bad shape"), ShapeError),
+            (SizeError("too big"), SizeError),
+            (_NumpyStyleMemoryError((2**40,), np.dtype("f8")), MemoryError),
+        ],
+    )
+    def test_build_and_forward_name_the_layer(self, when, error, expected):
+        net = Network([ReLU(), _Failing(error, when)])
+        with pytest.raises(expected, match=rf"^layer 1 \(failing\): {error}$") as info:
+            net.build((2, 2, 1), np.random.default_rng(0))
+            net.forward(np.ones((1, 2, 2, 1)))
+        assert info.value.__cause__ is error
+
+    def test_compression_of_a_net_without_parameters(self):
+        net = Network([ReLU()])
+        net.build((2, 2, 1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="parameter counts must be positive"):
+            net.compression
 
     def test_tt_layers_match_dense_reference(self):
         # TT-conv net vs dense net built from the reconstructed kernels
@@ -291,6 +355,11 @@ class TestSGD:
         v2 = opt._velocity[(0, 0)]
         assert_allclose(v2, -0.19 * g, rtol=1e-14)
         assert_allclose(net.get_params(), p0 - 0.29 * g.ravel(), rtol=1e-13)
+
+    @pytest.mark.parametrize("lr", [-0.1, float("nan")])
+    def test_rejects_negative_or_nan_lr(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be a non-negative number"):
+            SGDMomentum(lr=lr)
 
     def test_lr_schedule(self):
         opt = SGDMomentum(lr=0.1, decay_every=30, decay_factor=10.0)
