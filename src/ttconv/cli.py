@@ -23,8 +23,7 @@ from .config import (
     parse_factors,
     parse_int_list,
 )
-from .errors import ShapeError, SizeError, TrainingDiverged
-from .io import FormatError
+from .errors import FormatError, ShapeError, SizeError, TrainingDiverged
 from .kernels import (
     TTConvKernel,
     compression_ratio,
@@ -35,7 +34,7 @@ from .kernels import (
     ttconv_from_dense,
     ttconv_to_dense,
 )
-from .nn import SGDMomentum, format_log_csv
+from .nn import SGDMomentum, format_log_csv, read_log_csv
 from .nn import gradcheck as run_gradcheck
 from .nn import train as run_train
 from .tt import TTTensor, tt_full, tt_param_count, tt_svd
@@ -179,47 +178,15 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _parse_log(path):
-    name = None
-    compression = None
-    last_row = None
-    columns = None
-    with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, value = (part.strip() for part in body.split("=", 1))
-                    if key == "model":
-                        name = value
-                    elif key == "compression":
-                        compression = float(value)
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            last_row = line.split(",")
-    if name is None or compression is None or columns is None or last_row is None:
-        raise FormatError(f"{path}: not a training log (missing metadata or rows)")
-    try:
-        record = dict(zip(columns, last_row))
-        acc = float(record["test_acc"])
-    except (KeyError, ValueError):
-        raise FormatError(f"{path}: malformed log rows") from None
-    return name, acc, compression
-
-
 def cmd_report(args):
     rows = []
     for path in args.logs:
         try:
-            rows.append(_parse_log(path))
+            log, name, compression = read_log_csv(path)
         except OSError:
             print(f"missing log: {path}", file=sys.stderr)
             return EXIT_MISSING_LOGS
+        rows.append((name, log[-1]["test_acc"], compression))
     rows.sort(key=lambda r: r[2])
     lines = [TABLE_HEADER]
     for name, acc, compression in rows:

@@ -1,30 +1,23 @@
 """Flat key=value training configs and the network builder behind them.
 
 A config is plain text: one ``key = value`` per line, ``#`` comments, and one
-``layer = <kind> <args>`` line per layer in order.  Example::
+``layer = <kind> <sizes> <options>`` line per layer in order; see
+``demos/configs/`` for complete examples.  Two tables declare the grammar.
+``KEYS`` gives every other key its type, default and least value.
+``_LAYERS`` gives every layer kind, keyed by its class's ``kind``, the number
+of integer sizes it takes, their least value, and the options it takes:
 
-    name = TT-conv
-    seed = 7
-    epochs = 30
-    lr = 0.03
-    momentum = 0.9
-    decay_every = 20
-    decay_factor = 10
-    batch_size = 128
-    layer = dense-conv 3 8
-    layer = relu
-    layer = max-pool
-    layer = tt-conv 3 16 ranks=6,5 d=2
-    layer = relu
-    layer = dense-fc 2
+    dense-conv L S [nobias]         tt-conv L S ranks=r1,...,rd [d=N]
+    dense-fc OUT [nobias]               [factors=C1x..xCd:S1x..xSd] [nobias]
+    naive-tt-conv L S ranks=a,b,c   tt-fc OUT ranks=r1,...,rd [d=N]
+        [nobias]                        [factors=...] [nobias]
+    relu | max-pool | batch-norm | avg-pool K | zero-pad P
+    softmax-cross-entropy           (optional final line: the loss head)
 
-Layer grammar (positional sizes first, ``key=value`` options after):
-
-    dense-conv L S [nobias]         | tt-conv L S ranks=r1,r2 [d=N]
-    naive-tt-conv L S ranks=a,b,c   |     [factors=C1xC2:S1xS2] [nobias]
-    dense-fc OUT [nobias]           | tt-fc OUT ranks=... [d=N] [factors=...]
-    relu | max-pool | avg-pool K | batch-norm | zero-pad P
-    softmax-cross-entropy           (optional trailing loss head)
+Sizes are at least 1 (zero-pad's P at least 0), ranks at least 1, and d an
+integer at least 1 that equals the depth of factors when both are given.  A
+wrong number of sizes, or an option the kind does not take or given twice, is
+a ConfigError naming the kind.
 """
 
 from __future__ import annotations
@@ -52,34 +45,30 @@ class ConfigError(ValueError):
     """Unparseable config file or layer spec."""
 
 
-_INT_KEYS = {"seed", "epochs", "batch_size", "decay_every", "train_size", "test_size",
-             "size", "dataset_seed", "init_seed"}
-_FLOAT_KEYS = {"lr", "momentum", "decay_factor", "noise"}
-_STR_KEYS = {"name", "dataset"}
-# decay_every = 0 means no decay; stripes-blobs draws blob centres from [1, size - 2]
-_MIN_VALUES = {"epochs": 1, "batch_size": 1, "train_size": 1, "test_size": 1, "size": 3,
-               "decay_every": 0}
-
-DEFAULTS = {
-    "name": "model",
-    "seed": 0,
-    "epochs": 30,
-    "lr": 0.03,
-    "momentum": 0.9,
-    "decay_every": 20,
-    "decay_factor": 10.0,
-    "batch_size": 128,
-    "dataset": "stripes-blobs",
-    "dataset_seed": 0,
-    "train_size": 2000,
-    "test_size": 500,
-    "size": 16,
-    "noise": 1.0,
+# key -> (type, default, least value); init_seed defaults to seed, decay_every
+# = 0 means no decay, and stripes-blobs draws blob centres from [1, size - 2]
+KEYS = {
+    "name": (str, "model", None),
+    "seed": (int, 0, None),
+    "epochs": (int, 30, 1),
+    "lr": (float, 0.03, None),
+    "momentum": (float, 0.9, None),
+    "decay_every": (int, 20, 0),
+    "decay_factor": (float, 10.0, None),
+    "batch_size": (int, 128, 1),
+    "dataset": (str, "stripes-blobs", None),
+    "dataset_seed": (int, 0, None),
+    "train_size": (int, 2000, 1),
+    "test_size": (int, 500, 1),
+    "size": (int, 16, 3),
+    "noise": (float, 1.0, None),
+    "init_seed": (int, None, None),
 }
+_NOUNS = {int: "an integer", float: "a number"}
 
 
 def parse_config(text: str) -> dict:
-    cfg = dict(DEFAULTS)
+    cfg = {key: default for key, (_, default, _) in KEYS.items()}
     cfg["layers"] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -90,28 +79,22 @@ def parse_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "layer":
             cfg["layers"].append(value)
-        elif key in _INT_KEYS:
-            try:
-                cfg[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} must be an integer") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                cfg[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} must be a number") from None
-            if not math.isfinite(cfg[key]):
-                raise ConfigError(f"line {lineno}: {key} must be finite, got {value}")
-        elif key in _STR_KEYS:
-            cfg[key] = value
-        else:
+            continue
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    for key, low in _MIN_VALUES.items():
-        if cfg[key] < low:
-            raise ConfigError(f"{key} must be at least {low}, got {cfg[key]}")
+        convert = KEYS[key][0]
+        try:
+            cfg[key] = convert(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} must be {_NOUNS[convert]}") from None
+        if convert is float and not math.isfinite(cfg[key]):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {value}")
+    for key, (_, _, least) in KEYS.items():
+        if least is not None and cfg[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
     if not cfg["decay_factor"] > 0:
         raise ConfigError(f"decay_factor must be positive, got {cfg['decay_factor']}")
-    if "init_seed" not in cfg:
+    if cfg["init_seed"] is None:
         cfg["init_seed"] = cfg["seed"]
     return cfg
 
@@ -141,85 +124,92 @@ def parse_factors(text) -> ChannelFactorization:
     return ChannelFactorization(c_factors, s_factors)
 
 
-def _split_layer_tokens(tokens):
-    positional, options = [], {}
-    for tok in tokens:
-        if "=" in tok:
-            key, value = tok.split("=", 1)
-            options[key] = value
-        else:
-            positional.append(tok)
-    return positional, options
+def _parse_ranks(text):
+    ranks = parse_int_list(text)
+    if min(ranks) < 1:
+        raise ConfigError(f"ranks must be at least 1, got {text}")
+    return ranks
+
+
+def _parse_depth(text):
+    try:
+        d = int(text)
+    except ValueError:
+        d = 0
+    if d < 1:
+        raise ConfigError(f"d must be an integer at least 1, got {text!r}")
+    return d
+
+
+# option -> parser of its value; a bare ``nobias`` is the one flag
+_OPTIONS = {"ranks": _parse_ranks, "d": _parse_depth, "factors": parse_factors}
+_TT = ("ranks", "d", "factors", "nobias")
+
+# kind -> (layer class, number of integer sizes, least size, options it takes);
+# a kind that takes ranks needs them
+_LAYERS = {
+    cls.kind: (cls, sizes, least, options)
+    for cls, sizes, least, options in [
+        (Conv2D, 2, 1, ("nobias",)),
+        (TTConv, 2, 1, _TT),
+        (NaiveTTConv, 2, 1, ("ranks", "nobias")),
+        (Dense, 1, 1, ("nobias",)),
+        (TTDense, 1, 1, _TT),
+        (ReLU, 0, 1, ()),
+        (MaxPool, 0, 1, ()),
+        (AvgPool, 1, 1, ()),
+        (BatchNorm, 0, 1, ()),
+        (ZeroPad, 1, 0, ()),
+    ]
+}
 
 
 def _build_layer(spec: str):
-    tokens = spec.split()
-    if not tokens:
-        raise ConfigError("empty layer spec")
-    kind = tokens[0]
-    positional, options = _split_layer_tokens(tokens[1:])
-    bias = "nobias" not in positional
-    positional = [tok for tok in positional if tok != "nobias"]
-
-    def ints(n):
-        if len(positional) != n:
-            raise ConfigError(f"{kind}: expected {n} size argument(s), got {positional}")
-        try:
-            return [int(tok) for tok in positional]
-        except ValueError:
-            raise ConfigError(f"{kind}: sizes must be integers, got {positional}") from None
-
-    def ranks_opt():
-        if "ranks" not in options:
-            raise ConfigError(f"{kind}: missing ranks=...")
-        ranks = parse_int_list(options["ranks"])
-        if min(ranks) < 1:
-            raise ConfigError(f"{kind}: ranks must be at least 1, got {options['ranks']}")
-        return ranks
-
-    def fact_opt():
-        # padding is fitted to the real channel counts when the layer builds
-        return parse_factors(options["factors"]) if "factors" in options else None
-
-    if kind == "dense-conv":
-        ell, out = ints(2)
-        return Conv2D(ell, out, bias=bias)
-    if kind == "tt-conv":
-        ell, out = ints(2)
-        return TTConv(
-            ell, out, ranks=ranks_opt(), d=int(options.get("d", 2)),
-            factors=fact_opt(), bias=bias,
-        )
-    if kind == "naive-tt-conv":
-        ell, out = ints(2)
-        return NaiveTTConv(ell, out, ranks=ranks_opt(), bias=bias)
-    if kind == "dense-fc":
-        (out,) = ints(1)
-        return Dense(out, bias=bias)
-    if kind == "tt-fc":
-        (out,) = ints(1)
-        return TTDense(
-            out, ranks=ranks_opt(), d=int(options.get("d", 2)),
-            factors=fact_opt(), bias=bias,
-        )
+    kind, *tokens = spec.split() or [""]
     if kind == "softmax-cross-entropy":
         raise ConfigError(
             "softmax-cross-entropy is the implicit loss head; it may only "
             "appear as the final layer line"
         )
-    if kind == "relu":
-        return ReLU()
-    if kind == "max-pool":
-        return MaxPool()
-    if kind == "avg-pool":
-        (k,) = ints(1)
-        return AvgPool(k)
-    if kind == "batch-norm":
-        return BatchNorm()
-    if kind == "zero-pad":
-        (p,) = ints(1)
-        return ZeroPad(p)
-    raise ConfigError(f"unknown layer kind {kind!r}")
+    if kind not in _LAYERS:
+        raise ConfigError(f"unknown layer kind {kind!r}" if kind else "empty layer spec")
+    try:
+        return _layer_from_row(*_LAYERS[kind], tokens)
+    except ConfigError as e:
+        raise ConfigError(f"{kind}: {e}") from None
+
+
+def _layer_from_row(cls, n_sizes, least, takes, tokens):
+    sizes, given = [], {}
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        if not eq and tok != "nobias":
+            sizes.append(tok)
+        elif name not in takes or eq and name not in _OPTIONS:
+            raise ConfigError(f"does not take {tok!r} (options: {', '.join(takes) or 'none'})")
+        elif name in given:
+            raise ConfigError(f"{name} given twice")
+        else:
+            given[name] = value
+    shown = " ".join(sizes)
+    if len(sizes) != n_sizes:
+        raise ConfigError(f"expected {n_sizes} size(s), got {shown!r}")
+    try:
+        sizes = [int(tok) for tok in sizes]
+    except ValueError:
+        raise ConfigError(f"sizes must be integers, got {shown!r}") from None
+    if any(size < least for size in sizes):
+        raise ConfigError(f"sizes must be at least {least}, got {shown!r}")
+    if "ranks" in takes and "ranks" not in given:
+        raise ConfigError("missing ranks=...")
+    # padding is fitted to the real channel counts when the layer builds
+    kwargs = {name: _OPTIONS[name](value) for name, value in given.items() if name in _OPTIONS}
+    fact, d = kwargs.get("factors"), kwargs.get("d")
+    if fact and d and d != fact.depth:
+        raise ConfigError(f"d={d} disagrees with factors={given['factors']} of depth {fact.depth}")
+    if "nobias" in given:
+        kwargs["bias"] = False
+    return cls(*sizes, **kwargs)
 
 
 def build_network(cfg: dict) -> Network:

@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class FormatError(ValueError):
+    """Malformed or unrecognized container file or training log."""
+
+
 class ShapeError(ValueError):
     """Inconsistent shapes, factorizations, or dimension chains."""
 

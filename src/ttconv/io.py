@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .kernels import ChannelFactorization, TTConvKernel, _kernel_cores
 from .tt import TTTensor
 from .ttmatrix import TTMatrix
@@ -40,10 +40,6 @@ VERSION = 1
 
 _DTYPE_CODES = {"f64": 0, "f32": 1}
 _NUMPY_DTYPES = {0: "<f8", 1: "<f4"}
-
-
-class FormatError(ValueError):
-    """Malformed or unrecognized container file."""
 
 
 def _write_u32(f, *values):

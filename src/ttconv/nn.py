@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .conv import col2im_batch, im2col_batch
-from .errors import ShapeError, SizeError, TrainingDiverged
+from .errors import FormatError, ShapeError, SizeError, TrainingDiverged
 from .kernels import (
     TTConvKernel,
     compression_ratio,
@@ -475,11 +475,11 @@ class BatchNorm(Layer):
     """
 
     kind = "batch-norm"
+    momentum = 0.9
+    eps = 1e-5
 
-    def __init__(self, momentum=0.9, eps=1e-5):
+    def __init__(self):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.running_mean = None
         self.running_var = None
 
@@ -550,7 +550,9 @@ class SoftmaxCrossEntropy(Layer):
 
     kind = "softmax-cross-entropy"
 
-    def forward(self, logits, targets, train=False):
+    def check(self, logits, targets):
+        """``targets`` as an array, once the logits are (batch, classes) and
+        every target is a class index."""
         targets = np.asarray(targets)
         if logits.ndim != 2 or targets.shape != logits.shape[:1]:
             got = f"{logits.shape} logits for {targets.shape} targets"
@@ -558,6 +560,10 @@ class SoftmaxCrossEntropy(Layer):
         if targets.size and not 0 <= targets.min() <= targets.max() < logits.shape[1]:
             got = f"{targets.min()}..{targets.max()}"
             raise ShapeError(f"{self.kind}: targets must lie in [0, {logits.shape[1]}), got {got}")
+        return targets
+
+    def forward(self, logits, targets, train=False):
+        targets = self.check(logits, targets)
         z = logits - logits.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
         log_probs = z - log_norm
@@ -793,11 +799,13 @@ class Dataset:
 
 
 def evaluate(net: Network, x, targets, batch_size=256):
-    """Mean accuracy in eval mode (running batch-norm statistics)."""
+    """Mean accuracy in eval mode (running batch-norm statistics); the logits
+    and targets are checked as the loss head checks them."""
     correct = 0
     for start in range(0, len(x), batch_size):
         logits = net.forward(x[start : start + batch_size], train=False)
-        correct += int((logits.argmax(axis=1) == targets[start : start + batch_size]).sum())
+        batch = net.loss.check(logits, targets[start : start + batch_size])
+        correct += int((logits.argmax(axis=1) == batch).sum())
     return correct / len(x)
 
 
@@ -854,3 +862,43 @@ def format_log_csv(log, name=None, compression=None):
             ",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in LOG_COLUMNS)
         )
     return "\n".join(lines) + "\n"
+
+
+def read_log_csv(path):
+    """``(log, name, compression)`` of a ``format_log_csv`` file.
+
+    A file without the metadata, the header or a row, or whose rows lack a
+    number of ``LOG_COLUMNS``, is a FormatError naming the path; so is a
+    compression that is not a positive finite number or a test_acc outside
+    [0, 1].
+    """
+    meta, header, rows = {}, None, []
+    with open(path) as f:
+        for raw in f:
+            line = raw.strip()
+            if line.startswith("#"):
+                key, eq, value = line.lstrip("#").partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif line and header is None:
+                header = line.split(",")
+            elif line:
+                rows.append(dict(zip(header, line.split(","))))
+    if "model" not in meta or "compression" not in meta or not rows:
+        raise FormatError(f"{path}: not a training log (missing metadata or rows)")
+    try:
+        log = [{c: (int if c == "epoch" else float)(row[c]) for c in LOG_COLUMNS} for row in rows]
+    except (KeyError, ValueError):
+        raise FormatError(f"{path}: malformed log rows") from None
+    try:
+        compression = float(meta["compression"])
+    except ValueError:
+        compression = math.nan
+    if not 0 < compression < math.inf:
+        raise FormatError(
+            f"{path}: compression must be a positive number, got {meta['compression']!r}"
+        )
+    for row in log:
+        if not 0 <= row["test_acc"] <= 1:
+            raise FormatError(f"{path}: test_acc must lie in [0, 1], got {row['test_acc']}")
+    return log, meta["model"], compression

@@ -579,6 +579,94 @@ class TestConfigErrors:
         assert not log_path.exists()
 
 
+class TestLayerGrammar:
+    """Every layer line is checked against its kind: a size, option or flag
+    the kind does not take is a parse failure naming the kind, never ignored."""
+
+    @pytest.mark.parametrize(
+        "layer,message",
+        [
+            ("max-pool 2", "max-pool: expected 0 size(s), got '2'"),
+            ("relu 5", "relu: expected 0 size(s), got '5'"),
+            ("relu nobias", "relu: does not take 'nobias' (options: none)"),
+            ("dense-conv 3 8 foo=1", "dense-conv: does not take 'foo=1' (options: nobias)"),
+            ("dense-conv 3 8 ranks=3", "dense-conv: does not take 'ranks=3' (options: nobias)"),
+            ("dense-conv 3 8 nobias=1",
+             "dense-conv: does not take 'nobias=1' (options: nobias)"),
+            ("dense-conv 3 8 nobias nobias", "dense-conv: nobias given twice"),
+            ("tt-conv 3 16 ranks=6,5 depth=3",
+             "tt-conv: does not take 'depth=3' (options: ranks, d, factors, nobias)"),
+            ("tt-conv 3 16 ranks=6,5 ranks=1,1", "tt-conv: ranks given twice"),
+            ("tt-conv 3 16 ranks=6,5 d=3 factors=4x2:4x4",
+             "tt-conv: d=3 disagrees with factors=4x2:4x4 of depth 2"),
+            ("tt-conv 3 16 d=2", "tt-conv: missing ranks=..."),
+            ("avg-pool 0", "avg-pool: sizes must be at least 1, got '0'"),
+            ("dense-conv 0 8", "dense-conv: sizes must be at least 1, got '0 8'"),
+            ("dense-conv 3 0", "dense-conv: sizes must be at least 1, got '3 0'"),
+            ("dense-conv 3", "dense-conv: expected 2 size(s), got '3'"),
+            ("dense-conv 3 x", "dense-conv: sizes must be integers, got '3 x'"),
+            ("zero-pad -1", "zero-pad: sizes must be at least 0, got '-1'"),
+            ("dense-fc 0", "dense-fc: sizes must be at least 1, got '0'"),
+            ("dense-fc", "dense-fc: expected 1 size(s), got ''"),
+            ("tt-conv 3 16 ranks=6,5 d=0", "tt-conv: d must be an integer at least 1, got '0'"),
+            ("tt-fc 2 ranks=2,2 d=x", "tt-fc: d must be an integer at least 1, got 'x'"),
+        ],
+    )
+    def test_train_rejects_layer_line_exit_2(self, tmp_path, capsys, layer, message):
+        cfg = write_config(
+            tmp_path, TOY_CONFIG.replace("layer = relu\n", f"layer = {layer}\nlayer = relu\n")
+        )
+        log_path = tmp_path / "toy.csv"
+        code, out, err = run(capsys, "train", cfg, "-o", str(log_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not log_path.exists()
+
+    @pytest.mark.parametrize(
+        "layer", ["zero-pad 0", "dense-conv 3 4 nobias", "tt-conv 3 4 nobias d=1 ranks=2",
+                  "tt-conv 3 4 ranks=2,2 d=2 factors=2x2:2x2"]
+    )
+    def test_edge_values_train(self, tmp_path, capsys, layer):
+        cfg = write_config(
+            tmp_path, TOY_CONFIG.replace("layer = relu\n", f"layer = {layer}\nlayer = relu\n")
+        )
+        code, _, err = run(capsys, "train", cfg, "-o", str(tmp_path / "toy.csv"))
+        assert (code, err) == (0, "")
+
+
+class TestReportLogValues:
+    """A log whose numbers do not read as a training log's is a parse failure
+    naming the file."""
+
+    GOOD_LOG = (
+        "# model = m\n# compression = {compression}\n"
+        "epoch,lr,train_loss,train_acc,test_acc\n0,0.1,0.5,0.75,{test_acc}\n"
+    )
+
+    @pytest.mark.parametrize(
+        "compression,test_acc,message",
+        [
+            ("abc", "0.9", "compression must be a positive number, got 'abc'"),
+            ("nan", "0.9", "compression must be a positive number, got 'nan'"),
+            ("inf", "0.9", "compression must be a positive number, got 'inf'"),
+            ("0", "0.9", "compression must be a positive number, got '0'"),
+            ("1.5", "nan", "test_acc must lie in [0, 1], got nan"),
+            ("1.5", "1.5", "test_acc must lie in [0, 1], got 1.5"),
+            ("1.5", "abc", "malformed log rows"),
+        ],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, compression, test_acc, message):
+        path = tmp_path / "m.csv"
+        path.write_text(self.GOOD_LOG.format(compression=compression, test_acc=test_acc))
+        code, out, err = run(capsys, "report", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    def test_good_log(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(self.GOOD_LOG.format(compression=1.5, test_acc=0.9))
+        code, out, err = run(capsys, "report", str(path))
+        assert (code, out, err) == (0, "model|top1_acc|compr\nm|90|1.50\n", "")
+
+
 class TestModuleEntryPoint:
     def test_python_m_help(self, tmp_path):
         src = str(Path(__file__).resolve().parent.parent / "src")

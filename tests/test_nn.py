@@ -9,6 +9,7 @@ from ttconv import kernels, nn
 from ttconv.config import build_network, load_config, load_dataset
 from ttconv.conv import conv2d_direct
 from ttconv.errors import ShapeError, SizeError, TrainingDiverged
+from ttconv.io import FormatError
 from ttconv.kernels import (
     ChannelFactorization,
     TTConvKernel,
@@ -839,3 +840,57 @@ class TestNaNPropagation:
             with pytest.raises(TrainingDiverged) as exc:
                 train(net, data, opt, epochs=1, seed=cfg["seed"], batch_size=cfg["batch_size"])
         assert exc.value.epoch == 0
+
+
+class TestEvaluateChecksLogits:
+    """evaluate checks its logits and targets as the loss head does."""
+
+    @pytest.mark.parametrize(
+        "layers,message",
+        [
+            ([Dense(1)], r"targets must lie in \[0, 1\), got 0..1"),
+            ([Conv2D(1, 2)], r"expects \(batch, classes\) logits, got \(4, 2, 2, 2\) logits"),
+        ],
+    )
+    def test_rejects_what_the_loss_head_rejects(self, layers, message):
+        net = Network(layers)
+        net.build((2, 2, 1), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((4, 2, 2, 1))
+        y = np.array([0, 1, 1, 0])
+        with pytest.raises(ShapeError, match=message):
+            net.loss.forward(net.forward(x), y)
+        with pytest.raises(ShapeError, match=message):
+            evaluate(net, x, y)
+
+
+class TestLogCsvRoundTrip:
+    def test_read_inverts_format(self, tmp_path):
+        log = [
+            {"epoch": 0, "lr": 0.03, "train_loss": 0.6931471805599453, "train_acc": 0.5,
+             "test_acc": 0.498},
+            {"epoch": 1, "lr": 0.003, "train_loss": 1e-17, "train_acc": 1.0, "test_acc": 1.0},
+        ]
+        path = tmp_path / "log.csv"
+        path.write_text(format_log_csv(log, name="TT-conv", compression=1.4881756756756757))
+        assert nn.read_log_csv(path) == (log, "TT-conv", 1.4881756756756757)
+
+    def test_trained_log(self, tmp_path):
+        rng = np.random.default_rng(11)
+        data = tiny_dataset(rng, n_train=32)
+        net = tiny_net()
+        net.build(data.input_shape, np.random.default_rng(2))
+        log = train(net, data, SGDMomentum(lr=0.05), epochs=2, seed=4, batch_size=16)
+        path = tmp_path / "log.csv"
+        path.write_text(format_log_csv(log, name="tiny", compression=net.compression))
+        assert nn.read_log_csv(path) == (log, "tiny", net.compression)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["epoch,lr\n0,0.1\n", "# model = m\n# compression = 1.0\nepoch,lr\n0,0.1\n",
+         "# model = m\n# compression = 1.0\nepoch,lr,train_loss,train_acc,test_acc\n"],
+    )
+    def test_not_a_log(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{path}: "):
+            nn.read_log_csv(path)
