@@ -141,7 +141,8 @@ def _parse_depth(text):
     return d
 
 
-# option -> parser of its value; a bare ``nobias`` is the one flag
+# option -> parser of its value; a bare ``nobias`` is the one flag.  Parsed
+# factors carry no padding: it is fitted to the channel counts at build time.
 _OPTIONS = {"ranks": _parse_ranks, "d": _parse_depth, "factors": parse_factors}
 _TT = ("ranks", "d", "factors", "nobias")
 
@@ -202,7 +203,6 @@ def _layer_from_row(cls, n_sizes, least, takes, tokens):
         raise ConfigError(f"sizes must be at least {least}, got {shown!r}")
     if "ranks" in takes and "ranks" not in given:
         raise ConfigError("missing ranks=...")
-    # padding is fitted to the real channel counts when the layer builds
     kwargs = {name: _OPTIONS[name](value) for name, value in given.items() if name in _OPTIONS}
     fact, d = kwargs.get("factors"), kwargs.get("d")
     if fact and d and d != fact.depth:

@@ -804,8 +804,8 @@ def evaluate(net: Network, x, targets, batch_size=256):
     correct = 0
     for start in range(0, len(x), batch_size):
         logits = net.forward(x[start : start + batch_size], train=False)
-        batch = net.loss.check(logits, targets[start : start + batch_size])
-        correct += int((logits.argmax(axis=1) == batch).sum())
+        labels = net.loss.check(logits, targets[start : start + batch_size])
+        correct += int((logits.argmax(axis=1) == labels).sum())
     return correct / len(x)
 
 
