@@ -14,10 +14,11 @@ of integer sizes it takes, their least value, and the options it takes:
     relu | max-pool | batch-norm | avg-pool K | zero-pad P
     softmax-cross-entropy           (optional final line: the loss head)
 
-Sizes are at least 1 (zero-pad's P at least 0), ranks at least 1, and d an
-integer at least 1 that equals the depth of factors when both are given.  A
-wrong number of sizes, or an option the kind does not take or given twice, is
-a ConfigError naming the kind.
+Sizes are at least 1 (zero-pad's P at least 0), ranks and factors at least
+1, and d an integer at least 1 that equals the depth of factors when both are
+given.  A wrong number of sizes, or an option the kind does not take or given
+twice, is a ConfigError naming the kind.  Every key but ``layer`` may be given
+once.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ _NOUNS = {int: "an integer", float: "a number"}
 def parse_config(text: str) -> dict:
     cfg = {key: default for key, (_, default, _) in KEYS.items()}
     cfg["layers"] = []
+    given = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -82,6 +84,9 @@ def parse_config(text: str) -> dict:
             continue
         if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in given:
+            raise ConfigError(f"line {lineno}: {key} given twice")
+        given.add(key)
         convert = KEYS[key][0]
         try:
             cfg[key] = convert(value)
@@ -121,6 +126,8 @@ def parse_factors(text) -> ChannelFactorization:
         s_factors = tuple(int(tok) for tok in parts[1].split("x"))
     except ValueError:
         raise ConfigError(f"factors must be integers, got {text!r}") from None
+    if min(c_factors + s_factors) < 1:
+        raise ConfigError(f"factors must be at least 1, got {text}")
     return ChannelFactorization(c_factors, s_factors)
 
 

@@ -16,10 +16,15 @@ at a time (``ttmatrix.ttm_batch``) and never forms W.
 The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
 layer's W: a TT conv layer above it fails at its first forward pass.
 
+A convolution's input gradient is one GEMM per kernel offset (i, j),
+``dY @ K[i, j]^T``, added straight into the input pixels that offset reads,
+so the (B*W'*H', l*l*C) patch gradient is never formed.
+
 ``Network.backward`` only fills the parameter gradients.  Nothing reads the
 gradient of the network input, so the lowest parametrized layer skips its
 input gradient (``backward(dy, input_grad=False)``) and the layers below it
-are not called.
+are not called.  It then drops every layer's training cache, so the next
+forward pass does not hold the last step's patch matrices next to its own.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import math
 
 import numpy as np
 
-from .conv import col2im_batch, im2col_batch
+from .conv import im2col_batch
 from .errors import FormatError, ShapeError, SizeError, TrainingDiverged
 from .kernels import (
     TTConvKernel,
@@ -115,7 +120,8 @@ class _MatrixLayer(Layer):
     """Shared body of the parametrized layers: ``y = patches @ W + b``.
 
     A patch row is one flattened sample here, one output pixel in
-    ``_ConvLayer``.  Subclasses supply ``_init_weights(channels, n_out, rng)``,
+    ``_ConvLayer``, which forms dx per kernel offset (``_input_grad``)
+    instead of as ``dY W^T``.  Subclasses supply ``_init_weights(channels, n_out, rng)``,
     ``weight_matrix()`` and ``weight_grads(dw)``: the weight parameters, W
     built from them, and their gradients given dL/dW.  Bias goes last.
     """
@@ -144,8 +150,8 @@ class _MatrixLayer(Layer):
     def _patches(self, x):
         return x.reshape(x.shape[0], -1), (x.shape[0], self.out_features)
 
-    def _unpatch(self, dcols, in_shape):
-        return dcols.reshape(in_shape)
+    def _input_grad(self, dy, w, in_shape):
+        return (dy @ w.T).reshape(in_shape)
 
     def forward(self, x, train=False):
         cols, out_shape = self._patches(x)
@@ -165,7 +171,7 @@ class _MatrixLayer(Layer):
             g[...] = dp
         if self.with_bias:
             self.grads[-1][...] = dy.sum(axis=0)
-        return self._unpatch(dy @ w.T, in_shape) if input_grad else None
+        return self._input_grad(dy, w, in_shape) if input_grad else None
 
     @property
     def dense_param_count(self):
@@ -194,8 +200,17 @@ class _ConvLayer(_MatrixLayer):
         b, w, h, _ = x.shape
         return cols, (b, w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
-    def _unpatch(self, dcols, in_shape):
-        return col2im_batch(dcols, self.ell, in_shape)
+    def _input_grad(self, dy, w, in_shape):
+        """``col2im_batch(dy @ w.T, l, in_shape)`` without the patch gradient:
+        offset (i, j) adds ``dY @ K[i, j]^T`` into the pixels it reads, in
+        col2im_batch's (i, j) order."""
+        b, w_in, h_in, c = in_shape
+        wo, ho = w_in - self.ell + 1, h_in - self.ell + 1
+        dx = np.zeros(in_shape)
+        for k, kernel in enumerate(w.reshape(self.ell * self.ell, c, -1)):
+            i, j = divmod(k, self.ell)
+            dx[:, i : i + wo, j : j + ho, :] += (dy @ kernel.T).reshape(b, wo, ho, c)
+        return dx
 
 
 class Conv2D(_ConvLayer):
@@ -626,15 +641,21 @@ class Network:
         """Fill every parameter gradient from the last ``forward_loss(train=True)``.
 
         The pass stops at the lowest parametrized layer, which skips its
-        input gradient; the layers below it are not called.
+        input gradient; the layers below it are not called.  Each layer's
+        cache is dropped once its backward has run, and those of the layers
+        below it with the rest, so a second call needs a new forward pass;
+        the loss head keeps its cache.
         """
         grad = self.loss.backward()
         blocks = self.parameter_blocks()
         lowest = blocks[0][0] if blocks else len(self.layers)
         for layer in reversed(self.layers[lowest + 1 :]):
             grad = layer.backward(grad)
+            layer._cache = None
         if blocks:
             self.layers[lowest].backward(grad, input_grad=False)
+        for layer in self.layers[: lowest + 1]:
+            layer._cache = None
 
     # -- flat parameter/gradient views (gradcheck, reporting) ----------------
 

@@ -633,6 +633,46 @@ class TestLayerGrammar:
         assert (code, err) == (0, "")
 
 
+
+class TestRepeatedKeys:
+    """Every key but ``layer`` may be given once."""
+
+    @pytest.mark.parametrize("old,new", [("lr = 0.05", "lr = 0.1\nlr = 0.5"),
+                                         ("seed = 3", "seed = 3\nseed = 3")])
+    def test_train_rejects_repeated_key_exit_2(self, tmp_path, capsys, old, new):
+        assert old in TOY_CONFIG
+        cfg = write_config(tmp_path, TOY_CONFIG.replace(old, new))
+        key = old.split()[0]
+        lineno = [i for i, line in enumerate(Path(cfg).read_text().splitlines(), 1)
+                  if line.startswith(f"{key} =")][1]
+        log_path = tmp_path / "toy.csv"
+        code, out, err = run(capsys, "train", cfg, "-o", str(log_path))
+        assert (code, out, err) == (2, "", f"error: line {lineno}: {key} given twice\n")
+        assert not log_path.exists()
+
+
+class TestFactorBounds:
+    """A ``factors=`` entry below 1 is a parse failure naming the kind."""
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("layer = dense-conv 3 4", "layer = tt-conv 3 4 ranks=2,2 factors=0x2:2x2",
+             "tt-conv: factors must be at least 1, got 0x2:2x2"),
+            ("layer = dense-conv 3 4", "layer = tt-conv 3 4 ranks=2,2 factors=1x1:-2x2",
+             "tt-conv: factors must be at least 1, got 1x1:-2x2"),
+            ("layer = dense-fc 2", "layer = tt-fc 2 ranks=2,2 factors=4x4:2x0",
+             "tt-fc: factors must be at least 1, got 4x4:2x0"),
+        ],
+    )
+    def test_train_rejects_factor_below_1_exit_2(self, tmp_path, capsys, old, new, message):
+        assert old in TOY_CONFIG
+        cfg = write_config(tmp_path, TOY_CONFIG.replace(old, new))
+        log_path = tmp_path / "toy.csv"
+        code, out, err = run(capsys, "train", cfg, "-o", str(log_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not log_path.exists()
+
 class TestReportLogValues:
     """A log whose numbers do not read as a training log's is a parse failure
     naming the file."""

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from ttconv import kernels, nn
 from ttconv.config import build_network, load_config, load_dataset
-from ttconv.conv import conv2d_direct
+from ttconv.conv import col2im_batch, conv2d_direct
 from ttconv.errors import ShapeError, SizeError, TrainingDiverged
 from ttconv.io import FormatError
 from ttconv.kernels import (
@@ -894,3 +895,87 @@ class TestLogCsvRoundTrip:
         path.write_text(text)
         with pytest.raises(FormatError, match=f"^{path}: "):
             nn.read_log_csv(path)
+
+
+def _conv_layer(kind, ell, s):
+    return {
+        "dense-conv": lambda: Conv2D(ell, s),
+        "tt-conv": lambda: TTConv(ell, s, ranks=(2, 3), d=2),
+        "naive-tt-conv": lambda: NaiveTTConv(ell, s, ranks=(2, 3, 2)),
+    }[kind]()
+
+
+class TestConvInputGradient:
+    """A conv layer's dx, formed per kernel offset, against the patch-gradient
+    route it replaces: ``col2im_batch(dY W^T)``."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("c", [1, 3, 8, 64])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["dense-conv", "tt-conv", "naive-tt-conv"])
+    def test_equals_col2im_of_patch_gradient(self, kind, ell, c, batch):
+        # S = 5 pads every tt-conv's output channels, and C = 3 its input ones
+        layer = _conv_layer(kind, ell, 5)
+        in_shape = (ell + 3, ell + 2, c)
+        layer.build(in_shape, np.random.default_rng(ell * c))
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch,) + in_shape)
+        y = layer.forward(x, train=True)
+        dy = rng.standard_normal(y.shape)
+        ref = col2im_batch(dy.reshape(-1, 5) @ layer.weight_matrix().T, ell, x.shape)
+        dx = layer.backward(dy)
+        if c == 1 and ell > 1:
+            # one input channel makes each per-offset product a matrix-vector
+            # product, which BLAS sums in another order than the full GEMM
+            assert np.max(np.abs(dx - ref)) <= 1e-12
+        else:
+            assert np.array_equal(dx.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["dense-conv", "tt-conv", "naive-tt-conv"])
+    def test_gradcheck_above_a_parametrized_layer(self, kind):
+        # the lower conv's parameter gradients pass through the upper conv's dx
+        net = Network([Conv2D(2, 3), ReLU(), _conv_layer(kind, 2, 5), ReLU(), Dense(2)])
+        net.build((6, 5, 2), np.random.default_rng(12))
+        x = np.random.default_rng(13).standard_normal((3, 6, 5, 2))
+        report = gradcheck(net, x, np.array([0, 1, 1]))
+        assert [r["kind"] for r in report] == ["dense-conv", kind, "dense-fc"]
+        for r in report:
+            assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+
+class TestBackwardFreesCaches:
+    """Network.backward drops every layer's training cache once used."""
+
+    def _stepped_net(self):
+        net = small_mixed_net()
+        net.build((12, 12, 2), np.random.default_rng(7))
+        x, y = mixed_batch(np.random.default_rng(3))
+        net.forward_loss(x, y, train=True)
+        net.backward()
+        return net
+
+    def test_every_layer_cache_is_dropped(self):
+        net = self._stepped_net()
+        assert [layer._cache for layer in net.layers] == [None] * len(net.layers)
+        assert net.loss._cache is not None
+
+    def test_second_backward_needs_a_forward(self):
+        net = self._stepped_net()
+        with pytest.raises(RuntimeError, match="^dense-fc: backward called before forward$"):
+            net.backward()
+
+    def test_conv_backward_forms_no_patch_gradient(self):
+        b, w, h, c, s, ell = 8, 18, 18, 32, 32, 3
+        layer = Conv2D(ell, s)
+        layer.build((w, h, c), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        y = layer.forward(rng.standard_normal((b, w, h, c)), train=True)
+        dy = rng.standard_normal(y.shape)
+        patch_bytes = b * (w - ell + 1) * (h - ell + 1) * ell * ell * c * 8
+        tracemalloc.start()
+        try:
+            layer.backward(dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_bytes
