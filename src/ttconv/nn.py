@@ -121,9 +121,10 @@ class _MatrixLayer(Layer):
 
     A patch row is one flattened sample here, one output pixel in
     ``_ConvLayer``, which forms dx per kernel offset (``_input_grad``)
-    instead of as ``dY W^T``.  Subclasses supply ``_init_weights(channels, n_out, rng)``,
-    ``weight_matrix()`` and ``weight_grads(dw)``: the weight parameters, W
-    built from them, and their gradients given dL/dW.  Bias goes last.
+    instead of as ``dY W^T``.  Subclasses supply
+    ``_init_weights(channels, n_out, rng)``, ``weight_matrix()`` and
+    ``weight_grads(dw)``: the weight parameters, W built from them, and their
+    gradients given dL/dW.  Bias goes last.
     """
 
     ell = 1
@@ -641,10 +642,9 @@ class Network:
         """Fill every parameter gradient from the last ``forward_loss(train=True)``.
 
         The pass stops at the lowest parametrized layer, which skips its
-        input gradient; the layers below it are not called.  Each layer's
-        cache is dropped once its backward has run, and those of the layers
-        below it with the rest, so a second call needs a new forward pass;
-        the loss head keeps its cache.
+        input gradient; the layers below it are not called.  Every layer's
+        cache is dropped once the pass is past it, so a second call needs a
+        new forward pass; the loss head keeps its cache.
         """
         grad = self.loss.backward()
         blocks = self.parameter_blocks()
