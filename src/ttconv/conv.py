@@ -55,22 +55,46 @@ def conv2d_direct(x, k) -> np.ndarray:
     return out
 
 
-def im2col_batch(xb, ell: int) -> np.ndarray:
+def im2col_shape(shape, ell: int):
+    """Shape (B*W'*H', l*l*C) of ``im2col_batch``'s patch matrix for a batch of ``shape``."""
+    if len(shape) != 4:
+        raise ShapeError(f"batch input must be B x W x H x C, got {len(shape)} dimensions")
+    b, w, h, c = shape
+    if ell > min(w, h):
+        raise ShapeError(f"filter size {ell} exceeds input dims ({w}, {h})")
+    return b * (w - ell + 1) * (h - ell + 1), ell * ell * c
+
+
+def im2col_batch(xb, ell: int, out=None) -> np.ndarray:
     """Patch matrix of a B x W x H x C batch, of shape (B*W'*H', l*l*C).
 
     Row ``(b*W' + x)*H' + y`` holds the patch of image b at pixel (x, y);
     column ``(i*l + j)*C + c`` holds X[b, x+i, y+j, c], channels fastest, so
     the matching weight matrix is ``kernel.reshape(l*l*C, S)``.
+
+    The patches are written into ``out`` and it is returned; without it they
+    go to a new array.  ``out`` must be a C-contiguous float64 array of
+    exactly that shape, or it is a ShapeError; reusing one buffer spares the
+    page faults of a fresh large block on every call.
     """
     xb = np.asarray(xb, dtype=np.float64)
-    if xb.ndim != 4:
-        raise ShapeError(f"batch input must be B x W x H x C, got {xb.ndim} dimensions")
+    rows, width = im2col_shape(xb.shape, ell)
+    if out is None:
+        out = np.empty((rows, width))
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == (rows, width)
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+    ):
+        got = f"{getattr(out, 'shape', None)} {getattr(out, 'dtype', type(out).__name__)}"
+        raise ShapeError(
+            f"im2col out must be a C-contiguous float64 array of shape {(rows, width)}, got {got}"
+        )
     b, w, h, c = xb.shape
-    if ell > min(w, h):
-        raise ShapeError(f"filter size {ell} exceeds input dims ({w}, {h})")
     wins = sliding_window_view(xb, (ell, ell), axis=(1, 2))  # (B, W', H', C, i, j)
-    cols = np.ascontiguousarray(wins.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(b * (w - ell + 1) * (h - ell + 1), ell * ell * c)
+    out.reshape(b, w - ell + 1, h - ell + 1, ell, ell, c)[...] = wins.transpose(0, 1, 2, 4, 5, 3)
+    return out
 
 
 def col2im_batch(dcols, ell: int, in_shape) -> np.ndarray:

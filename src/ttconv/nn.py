@@ -2,7 +2,11 @@
 
 Layers operate on batches: images are (B, W, H, C) arrays, flat features
 (B, F).  Every layer owns its parameter arrays and matching gradient buffers;
-``backward`` must be called right after ``forward`` on the same batch.  All
+``backward`` must be called right after ``forward`` on the same batch.  A
+parametrized layer's training cache holds that batch by reference, so it must
+not be modified between the two calls.  A parametrized layer checks that its
+input has the per-sample size it was built for (channels for a convolution,
+features for a fully-connected layer) and raises a ShapeError otherwise.  All
 parametrized layers share one body, ``y = patches @ W + b``, and differ only
 in how the weight matrix W is built from their parameters: TT layers keep
 their cores as the parameters, rebuild W from them on every forward pass and
@@ -16,6 +20,20 @@ at a time (``ttmatrix.ttm_batch``) and never forms W.
 The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
 layer's W: a TT conv layer above it fails at its first forward pass.
 
+Every convolution, in training and in evaluation, builds its
+(B*W'*H', l*l*C) patch matrix in one workspace shared by all conv layers: a
+module-level buffer grown when a larger patch matrix is needed and never
+shrunk.  The memory held for patches is thus one patch matrix, not one per
+layer, and only a call that grows the buffer pays for a fresh block (a large
+one comes from the kernel, which faults in and zeroes every page of it).  A
+conv caches its input, not its patches.  Its backward pass rebuilds the
+patches in the workspace unless the workspace still holds the ones its own
+training forward built for that cache; any fill since (another conv's
+forward, an evaluation forward, another conv's rebuild) forces the rebuild.
+In ``Network.backward`` order only the topmost conv reuses them.  Fills are
+told apart by serial numbers, so no global holds a reference to an input.
+The layers are not safe to run from several threads at once.
+
 A convolution's input gradient is one GEMM per kernel offset (i, j),
 ``dY @ K[i, j]^T``, added straight into the input pixels that offset reads,
 so the (B*W'*H', l*l*C) patch gradient is never formed.
@@ -24,7 +42,7 @@ so the (B*W'*H', l*l*C) patch gradient is never formed.
 gradient of the network input, so the lowest parametrized layer skips its
 input gradient (``backward(dy, input_grad=False)``) and the layers below it
 are not called.  It then drops every layer's training cache, so the next
-forward pass does not hold the last step's patch matrices next to its own.
+forward pass does not hold the last step's activations next to its own.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ import math
 
 import numpy as np
 
-from .conv import im2col_batch
+from .conv import im2col_batch, im2col_shape
 from .errors import FormatError, ShapeError, SizeError, TrainingDiverged
 from .kernels import (
     TTConvKernel,
@@ -116,12 +134,42 @@ class Layer:
         return self.params
 
 
+# The patch workspace of every convolution, and the serial number of its
+# current contents, which a training forward keeps in its cache.
+_workspace = np.empty(0)
+_workspace_fill = 0
+
+
+def _workspace_patches(x, ell, fill=None):
+    """``(im2col_batch(x, ell), fill)`` built in the shared workspace.
+
+    Each build gets a new fill number.  Given the number of the workspace's
+    current contents, ``fill`` returns them without a rebuild: the caller
+    vouches that they are this ``x``'s.  Only numbers are kept, never a
+    reference to ``x``.
+    """
+    global _workspace, _workspace_fill
+    rows, width = im2col_shape(x.shape, ell)
+    if fill != _workspace_fill:
+        if _workspace.size < rows * width:
+            _workspace = np.empty(0)  # free the old buffer before allocating its successor
+            _workspace = np.empty(rows * width)
+        _workspace_fill += 1
+        fill = _workspace_fill
+        im2col_batch(x, ell, out=_workspace[: rows * width].reshape(rows, width))
+    return _workspace[: rows * width].reshape(rows, width), fill
+
+
 class _MatrixLayer(Layer):
     """Shared body of the parametrized layers: ``y = patches @ W + b``.
 
     A patch row is one flattened sample here, one output pixel in
     ``_ConvLayer``, which forms dx per kernel offset (``_input_grad``)
-    instead of as ``dY W^T``.  Subclasses supply
+    instead of as ``dY W^T``.  The training cache is the input x (held by
+    reference, so it must not change before ``backward``), W and the
+    workspace fill number of x's patches; ``backward`` gets the patches back
+    from ``_patches(x, fill)``.  Here they are a view of x, with no fill
+    number.  Subclasses supply
     ``_init_weights(channels, n_out, rng)``, ``weight_matrix()`` and
     ``weight_grads(dw)``: the weight parameters, W built from them, and their
     gradients given dL/dW.  Bias goes last.
@@ -148,23 +196,36 @@ class _MatrixLayer(Layer):
         self._build(self.in_features, self.out_features, rng)
         return (self.out_features,)
 
-    def _patches(self, x):
-        return x.reshape(x.shape[0], -1), (x.shape[0], self.out_features)
+    def _check_input(self, x):
+        got = math.prod(x.shape[1:])
+        if got != self.in_features:
+            raise ShapeError(
+                f"{self.kind} expects {self.in_features} input features per sample, got {got}"
+            )
+
+    def _patches(self, x, fill=None):
+        """``(patches, fill)``: here a view of ``x``, with no fill number."""
+        return x.reshape(x.shape[0], -1), None
+
+    def _out_shape(self, x):
+        return (x.shape[0], self.out_features)
 
     def _input_grad(self, dy, w, in_shape):
         return (dy @ w.T).reshape(in_shape)
 
     def forward(self, x, train=False):
-        cols, out_shape = self._patches(x)
+        self._check_input(x)
+        cols, fill = self._patches(x)
         w = self.weight_matrix()
         y = cols @ w
         if self.with_bias:
             y += self.params[-1]
-        self._cache = (cols, x.shape, w) if train else None
-        return y.reshape(out_shape)
+        self._cache = (x, w, fill) if train else None
+        return y.reshape(self._out_shape(x))
 
     def backward(self, dy, input_grad=True):
-        cols, in_shape, w = self._require_cache()
+        x, w, fill = self._require_cache()
+        cols, _ = self._patches(x, fill)
         dy = dy.reshape(cols.shape[0], -1)
         # dW = P^T dY, formed as (dY^T P)^T: on one OpenBLAS thread of a 2-vCPU
         # x86 VM this order took 18 ms instead of 28 ms for 8192 x 576 patches
@@ -172,7 +233,7 @@ class _MatrixLayer(Layer):
             g[...] = dp
         if self.with_bias:
             self.grads[-1][...] = dy.sum(axis=0)
-        return self._input_grad(dy, w, in_shape) if input_grad else None
+        return self._input_grad(dy, w, x.shape) if input_grad else None
 
     @property
     def dense_param_count(self):
@@ -181,7 +242,14 @@ class _MatrixLayer(Layer):
 
 
 class _ConvLayer(_MatrixLayer):
-    """Valid stride-1 convolution: one patch row per output pixel (im2col_batch)."""
+    """Valid stride-1 convolution: one patch row per output pixel (im2col_batch).
+
+    The patches live in the shared workspace (``_workspace_patches``), never
+    in the cache; ``backward`` rebuilds them from the cached input unless the
+    workspace's last fill was this layer's training forward for that input.
+    """
+
+    in_channels = None
 
     def __init__(self, ell, out_channels, bias=True):
         Layer.__init__(self)
@@ -193,13 +261,23 @@ class _ConvLayer(_MatrixLayer):
         w, h, c = in_shape
         if self.ell > min(w, h):
             raise ShapeError(f"filter {self.ell} exceeds input dims ({w}, {h})")
+        self.in_channels = c
         self._build(c, self.out_channels, rng)
         return (w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
-    def _patches(self, x):
-        cols = im2col_batch(x, self.ell)
+    def _check_input(self, x):
+        # any other rank is left to im2col_shape's ShapeError
+        if x.ndim == 4 and x.shape[3] != self.in_channels:
+            raise ShapeError(
+                f"{self.kind} expects {self.in_channels} input channels, got {x.shape[3]}"
+            )
+
+    def _patches(self, x, fill=None):
+        return _workspace_patches(x, self.ell, fill)
+
+    def _out_shape(self, x):
         b, w, h, _ = x.shape
-        return cols, (b, w - self.ell + 1, h - self.ell + 1, self.out_channels)
+        return (b, w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
     def _input_grad(self, dy, w, in_shape):
         """``col2im_batch(dy @ w.T, l, in_shape)`` without the patch gradient:
@@ -349,6 +427,7 @@ class TTDense(_ProposedTT, _MatrixLayer):
         super().__init__(ranks, d, factors, out_features, bias)
 
     def forward(self, x, train=False):
+        self._check_input(x)
         g0, *cores = self._weights()
         tk = TTConvKernel(1, self.fact, g0, cores)
         a = ttconv_to_ttmatrix(tk)
@@ -509,6 +588,8 @@ class BatchNorm(Layer):
     def forward(self, x, train=False):
         axes = tuple(range(x.ndim - 1))
         gamma, beta = self.params
+        if x.shape[-1] != gamma.size:
+            raise ShapeError(f"{self.kind} expects {gamma.size} channels, got {x.shape[-1]}")
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)

@@ -192,3 +192,53 @@ class TestIm2colBatch:
         y = (im2col_batch(x, 3) @ k.reshape(-1, 4)).reshape(2, 4, 3, 4)
         for b in range(2):
             assert_allclose(y[b], conv2d_direct(x[b], k), rtol=1e-12, atol=1e-12)
+
+
+def _window_copy(xb, ell):
+    """Oracle patch matrix: the sliding windows copied to a new array in one step."""
+    b, w, h, c = xb.shape
+    wins = np.lib.stride_tricks.sliding_window_view(xb, (ell, ell), axis=(1, 2))
+    cols = np.ascontiguousarray(wins.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(b * (w - ell + 1) * (h - ell + 1), ell * ell * c)
+
+
+class TestIm2colOut:
+    """``im2col_batch(xb, ell, out=...)`` writes the patches into ``out``."""
+
+    @pytest.mark.parametrize("c", [1, 3, 64])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 5])
+    def test_returns_out_bitwise_fresh(self, ell, c):
+        x = np.random.default_rng(ell * c).standard_normal((2, ell + 3, ell + 2, c))
+        fresh = im2col_batch(x, ell)
+        out = np.full(fresh.shape, np.nan)
+        assert im2col_batch(x, ell, out=out) is out
+        assert np.array_equal(out.view(np.uint64), fresh.view(np.uint64))
+        assert np.array_equal(fresh.view(np.uint64), _window_copy(x, ell).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda rows, cols: np.empty((rows, cols + 1)),
+            lambda rows, cols: np.empty((rows * cols,)),
+            lambda rows, cols: np.empty((cols, rows)).T,
+            lambda rows, cols: np.empty((rows, 2 * cols))[:, ::2],
+            lambda rows, cols: np.empty((rows, cols), dtype=np.float32),
+            lambda rows, cols: [[0.0] * cols] * rows,
+        ],
+        ids=["wide", "flat", "transposed", "strided", "float32", "list"],
+    )
+    def test_rejects_wrong_out(self, make_out):
+        x = np.zeros((2, 5, 4, 3))
+        out = make_out(2 * 3 * 2, 27)
+        with pytest.raises(ShapeError, match=r"^im2col out must be a C-contiguous float64 array"):
+            im2col_batch(x, 3, out=out)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_conv2d_gemm_unchanged(self, ell):
+        rng = np.random.default_rng(20 + ell)
+        x = rng.standard_normal((6, 5, 3))
+        k = rng.standard_normal((ell, ell, 3, 4))
+        y = conv2d_gemm(x, k)
+        ref = (_window_copy(x[None], ell) @ k.reshape(-1, 4)).reshape(y.shape)
+        assert np.array_equal(y.view(np.uint64), ref.view(np.uint64))
+        assert_allclose(y, conv2d_direct(x, k), rtol=1e-12, atol=1e-12)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from ttconv import kernels, nn
 from ttconv.config import build_network, load_config, load_dataset
-from ttconv.conv import col2im_batch, conv2d_direct
+from ttconv.conv import col2im_batch, conv2d_direct, im2col_batch
 from ttconv.errors import ShapeError, SizeError, TrainingDiverged
 from ttconv.io import FormatError
 from ttconv.kernels import (
@@ -975,6 +976,230 @@ class TestBackwardFreesCaches:
         tracemalloc.start()
         try:
             layer.backward(dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_bytes
+
+
+class TestWrongInputSize:
+    """A parametrized layer fed another per-sample size than it was built for."""
+
+    @pytest.mark.parametrize(
+        "layer, in_shape, x_shape, message",
+        [
+            (lambda: Conv2D(3, 4), (5, 5, 3), (2, 5, 5, 4), "dense-conv expects 3 input channels, got 4"),
+            (
+                lambda: TTConv(3, 4, ranks=(2, 2), d=2),
+                (5, 5, 3),
+                (2, 5, 5, 2),
+                "tt-conv expects 3 input channels, got 2",
+            ),
+            (
+                lambda: NaiveTTConv(2, 4, ranks=(2, 2, 2)),
+                (5, 5, 3),
+                (2, 6, 6, 4),
+                "naive-tt-conv expects 3 input channels, got 4",
+            ),
+            (lambda: Dense(3), (5,), (2, 6), "dense-fc expects 5 input features per sample, got 6"),
+            (
+                lambda: TTDense(4, ranks=(2, 2), d=2),
+                (2, 3),
+                (2, 7),
+                "tt-fc expects 6 input features per sample, got 7",
+            ),
+            (lambda: BatchNorm(), (4, 4, 3), (2, 4, 4, 5), "batch-norm expects 3 channels, got 5"),
+        ],
+    )
+    @pytest.mark.parametrize("train", [False, True])
+    def test_shape_error_names_kind_and_sizes(self, layer, in_shape, x_shape, message, train):
+        layer = layer()
+        layer.build(in_shape, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            layer.forward(np.zeros(x_shape), train=train)
+
+    @pytest.mark.parametrize(
+        "x_shape, message",
+        [
+            ((5, 5, 3), "^batch input must be B x W x H x C, got 3 dimensions$"),
+            ((2, 2, 5, 3), r"^filter size 3 exceeds input dims \(2, 5\)$"),
+        ],
+    )
+    def test_conv_shape_errors_keep_their_text(self, x_shape, message):
+        layer = Conv2D(3, 4)
+        layer.build((5, 5, 3), np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=message):
+            layer.forward(np.zeros(x_shape))
+
+    def test_conv_takes_other_spatial_sizes(self):
+        layer = Conv2D(3, 4)
+        layer.build((5, 5, 3), np.random.default_rng(0))
+        assert layer.forward(np.zeros((2, 7, 6, 3))).shape == (2, 5, 4, 4)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestSharedPatchWorkspace:
+    """Every conv builds its patches in one shared workspace and caches its
+    input; backward reuses the patches only when no other fill came between.
+    Each conv's output, grads and dx are compared bitwise with a reference
+    built from ``im2col_batch(x, l)`` and ``(dY^T P)^T``."""
+
+    KINDS = ["dense-conv", "tt-conv", "naive-tt-conv"]
+
+    def _conv(self, kind, ell, in_shape, seed):
+        layer = {
+            # C = 3 and S = 5 pad a d = 2 tt-conv's input and output channels
+            "dense-conv": lambda: Conv2D(ell, 5),
+            "tt-conv": lambda: TTConv(ell, 5, ranks=(2, 3), d=2),
+            "naive-tt-conv": lambda: NaiveTTConv(ell, 5, ranks=(2, 3, 2)),
+        }[kind]()
+        layer.build(in_shape, np.random.default_rng(seed))
+        return layer
+
+    def _pair(self, kind_a, kind_b):
+        """Two convs whose patch matrices differ in shape, their inputs and dY."""
+        rng = np.random.default_rng(31)
+        a = self._conv(kind_a, 3, (7, 6, 3), 1)
+        b = self._conv(kind_b, 2, (5, 8, 4), 2)
+        xa, xb = rng.standard_normal((2, 7, 6, 3)), rng.standard_normal((3, 5, 8, 4))
+        dya, dyb = rng.standard_normal((2, 5, 4, 5)), rng.standard_normal((3, 4, 7, 5))
+        return (a, xa, dya), (b, xb, dyb)
+
+    @staticmethod
+    def _reference(layer, x, dy):
+        patches = im2col_batch(x, layer.ell)
+        w = layer.weight_matrix()
+        y = patches @ w + layer.params[-1]
+        dy = dy.reshape(patches.shape[0], -1)
+        grads = layer.weight_grads((dy.T @ patches).T) + [dy.sum(axis=0)]
+        return y, grads, layer._input_grad(dy, w, x.shape)
+
+    def _check(self, layer, x, dy, y, dx):
+        y_ref, grads_ref, dx_ref = self._reference(layer, x, dy)
+        assert np.array_equal(_bits(y), _bits(y_ref.reshape(y.shape)))
+        assert len(layer.grads) == len(grads_ref)
+        for g, ref in zip(layer.grads, grads_ref):
+            assert np.array_equal(_bits(g), _bits(ref.reshape(g.shape)))
+        if dx is not None:
+            assert np.array_equal(_bits(dx), _bits(dx_ref))
+
+    @pytest.mark.parametrize("kind_b", KINDS)
+    @pytest.mark.parametrize("kind_a", KINDS)
+    @pytest.mark.parametrize("b_first", [True, False], ids=["bwd-B-first", "bwd-A-first"])
+    def test_two_convs_any_backward_order(self, kind_a, kind_b, b_first):
+        (a, xa, dya), (b, xb, dyb) = self._pair(kind_a, kind_b)
+        ya = a.forward(xa, train=True)
+        yb = b.forward(xb, train=True)
+        order = [(b, xb, dyb, yb), (a, xa, dya, ya)]
+        for layer, x, dy, y in order if b_first else order[::-1]:
+            self._check(layer, x, dy, y, layer.backward(dy))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eval_forward_of_another_conv_between(self, kind):
+        (a, xa, dya), (b, xb, _) = self._pair(kind, "dense-conv")
+        ya = a.forward(xa, train=True)
+        b.forward(xb)
+        self._check(a, xa, dya, ya, a.backward(dya))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eval_network_forward_between(self, kind):
+        (a, xa, dya), _ = self._pair(kind, "dense-conv")
+        net = small_mixed_net()
+        net.build((12, 12, 2), np.random.default_rng(7))
+        ya = a.forward(xa, train=True)
+        net.forward(mixed_batch(np.random.default_rng(3))[0], train=False)
+        self._check(a, xa, dya, ya, a.backward(dya))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_forward_twice(self, kind):
+        (a, xa, dya), _ = self._pair(kind, "dense-conv")
+        a.forward(np.random.default_rng(5).standard_normal(xa.shape), train=True)
+        ya = a.forward(xa, train=True)
+        self._check(a, xa, dya, ya, a.backward(dya))
+
+    def test_network_step(self):
+        # the topmost conv reuses its patches, the two below rebuild theirs
+        net = Network(
+            [
+                ZeroPad(1),
+                TTConv(3, 5, ranks=(2, 2), d=2),
+                ReLU(),
+                NaiveTTConv(2, 4, ranks=(2, 2, 2)),
+                ReLU(),
+                Conv2D(3, 3),
+                Dense(2),
+            ]
+        )
+        net.build((8, 7, 3), np.random.default_rng(11))
+        seen = {}
+        for idx in (1, 3, 5):
+            layer = net.layers[idx]
+
+            def forward(x, train=False, layer=layer, call=layer.forward):
+                seen[layer] = [x, call(x, train)]
+                return seen[layer][1]
+
+            def backward(dy, input_grad=True, layer=layer, call=layer.backward):
+                seen[layer] += [dy, call(dy, input_grad)]
+                return seen[layer][3]
+
+            layer.forward, layer.backward = forward, backward
+        x = np.random.default_rng(12).standard_normal((3, 8, 7, 3))
+        net.forward_loss(x, np.array([0, 1, 1]), train=True)
+        net.backward()
+        assert seen[net.layers[1]][3] is None  # the lowest layer skips dx
+        for layer, (x, y, dy, dx) in seen.items():
+            self._check(layer, x, dy, y, dx)
+
+    def test_caches_hold_no_global_reference_to_the_input(self):
+        net = Network([Conv2D(3, 4), ReLU(), Conv2D(2, 3), Dense(2)])
+        net.build((7, 7, 2), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 7, 7, 2))
+        net.forward_loss(x, np.array([0, 1]), train=True)
+        hidden = weakref.ref(net.layers[1]._cache)
+        upper_input = weakref.ref(net.layers[2]._cache[0])
+        net.backward()
+        assert hidden() is None and upper_input() is None
+
+
+class TestPatchWorkspaceMemory:
+    """The patch matrix is held once, in the shared workspace, not per conv."""
+
+    def test_network_step_holds_under_two_patch_matrices(self):
+        b, w, h, c, ell = 4, 18, 18, 32, 3
+        layers = []
+        for _ in range(3):
+            layers += [ZeroPad(1), Conv2D(ell, c)]
+        net = Network(layers + [Dense(2)])
+        net.build((w, h, c), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        targets = np.array([0, 1, 1, 0])
+        net.forward_loss(rng.standard_normal((b, w, h, c)), targets, train=True)
+        net.backward()
+        x = rng.standard_normal((b, w, h, c))
+        patch_bytes = b * w * h * ell * ell * c * 8
+        tracemalloc.start()
+        try:
+            net.forward_loss(x, targets, train=True)
+            net.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * patch_bytes
+
+    def test_eval_forward_allocates_under_one_patch_matrix(self):
+        b, w, h, c, s, ell = 8, 18, 18, 32, 32, 3
+        layer = Conv2D(ell, s)
+        layer.build((w, h, c), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((b, w, h, c))
+        layer.forward(x)
+        patch_bytes = b * (w - ell + 1) * (h - ell + 1) * ell * ell * c * 8
+        tracemalloc.start()
+        try:
+            layer.forward(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
