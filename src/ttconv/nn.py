@@ -6,7 +6,8 @@ Layers operate on batches: images are (B, W, H, C) arrays, flat features
 parametrized layer's training cache holds that batch by reference, so it must
 not be modified between the two calls.  A parametrized layer checks that its
 input has the per-sample size it was built for (channels for a convolution,
-features for a fully-connected layer) and raises a ShapeError otherwise.  All
+features for a fully-connected layer) and at least one sample, and raises a
+ShapeError otherwise.  All
 parametrized layers share one body, ``y = patches @ W + b``, and differ only
 in how the weight matrix W is built from their parameters: TT layers keep
 their cores as the parameters, rebuild W from them on every forward pass and
@@ -20,19 +21,11 @@ at a time (``ttmatrix.ttm_batch``) and never forms W.
 The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
 layer's W: a TT conv layer above it fails at its first forward pass.
 
-Every convolution, in training and in evaluation, builds its
-(B*W'*H', l*l*C) patch matrix in one workspace shared by all conv layers: a
-module-level buffer grown when a larger patch matrix is needed and never
-shrunk.  The memory held for patches is thus one patch matrix, not one per
-layer, and only a call that grows the buffer pays for a fresh block (a large
-one comes from the kernel, which faults in and zeroes every page of it).  A
-conv caches its input, not its patches.  Its backward pass rebuilds the
-patches in the workspace unless the workspace still holds the ones its own
-training forward built for that cache; any fill since (another conv's
-forward, an evaluation forward, another conv's rebuild) forces the rebuild.
-In ``Network.backward`` order only the topmost conv reuses them.  Fills are
-told apart by serial numbers, so no global holds a reference to an input.
-The layers are not safe to run from several threads at once.
+A convolution builds its (B*W'*H', l*l*C) patch matrix a block of whole
+images at a time, as many images as fit ``_BLOCK_BYTES`` and at least one,
+in a buffer that lives for one call; its backward pass rebuilds each block
+from the cached input.  No conv holds more than one block of patches, and
+none outlives the call.
 
 A convolution's input gradient is one GEMM per kernel offset (i, j),
 ``dY @ K[i, j]^T``, added straight into the input pixels that offset reads,
@@ -110,6 +103,10 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
+    def _check_not_empty(self, x):
+        if len(x) == 0:
+            raise ShapeError(f"{self.kind} got an empty batch")
+
     def _require_cache(self):
         if self._cache is None:
             raise RuntimeError(f"{self.kind}: backward called before forward")
@@ -134,45 +131,24 @@ class Layer:
         return self.params
 
 
-# The patch workspace of every convolution, and the serial number of its
-# current contents, which a training forward keeps in its cache.
-_workspace = np.empty(0)
-_workspace_fill = 0
-
-
-def _workspace_patches(x, ell, fill=None):
-    """``(im2col_batch(x, ell), fill)`` built in the shared workspace.
-
-    Each build gets a new fill number.  Given the number of the workspace's
-    current contents, ``fill`` returns them without a rebuild: the caller
-    vouches that they are this ``x``'s.  Only numbers are kept, never a
-    reference to ``x``.
-    """
-    global _workspace, _workspace_fill
-    rows, width = im2col_shape(x.shape, ell)
-    if fill != _workspace_fill:
-        if _workspace.size < rows * width:
-            _workspace = np.empty(0)  # free the old buffer before allocating its successor
-            _workspace = np.empty(rows * width)
-        _workspace_fill += 1
-        fill = _workspace_fill
-        im2col_batch(x, ell, out=_workspace[: rows * width].reshape(rows, width))
-    return _workspace[: rows * width].reshape(rows, width), fill
+# The byte budget of one block of patches (see ``_ConvLayer._patch_blocks``).
+_BLOCK_BYTES = 2 << 20
 
 
 class _MatrixLayer(Layer):
     """Shared body of the parametrized layers: ``y = patches @ W + b``.
 
     A patch row is one flattened sample here, one output pixel in
-    ``_ConvLayer``, which forms dx per kernel offset (``_input_grad``)
-    instead of as ``dY W^T``.  The training cache is the input x (held by
-    reference, so it must not change before ``backward``), W and the
-    workspace fill number of x's patches; ``backward`` gets the patches back
-    from ``_patches(x, fill)``.  Here they are a view of x, with no fill
-    number.  Subclasses supply
-    ``_init_weights(channels, n_out, rng)``, ``weight_matrix()`` and
-    ``weight_grads(dw)``: the weight parameters, W built from them, and their
-    gradients given dL/dW.  Bias goes last.
+    ``_ConvLayer``.  ``_patch_blocks(x)`` hands out the patches as blocks of
+    whole samples, ``(samples, rows, patches)``; here one block, a view of x.
+    The forward pass writes each block's ``patches @ W`` into its rows of y,
+    and the backward pass walks the same blocks, summing each block's dW and
+    writing its samples' dx (``_input_grad``, which a conv forms per kernel
+    offset instead of as ``dY W^T``).  The training cache is the input x (held
+    by reference, so it must not change before ``backward``) and W.
+    Subclasses supply ``_init_weights(channels, n_out, rng)``,
+    ``weight_matrix()`` and ``weight_grads(dw)``: the weight parameters, W
+    built from them, and their gradients given dL/dW.  Bias goes last.
     """
 
     ell = 1
@@ -202,38 +178,49 @@ class _MatrixLayer(Layer):
             raise ShapeError(
                 f"{self.kind} expects {self.in_features} input features per sample, got {got}"
             )
+        self._check_not_empty(x)
 
-    def _patches(self, x, fill=None):
-        """``(patches, fill)``: here a view of ``x``, with no fill number."""
-        return x.reshape(x.shape[0], -1), None
+    def _patch_blocks(self, x):
+        yield slice(None), slice(None), x.reshape(len(x), -1)
 
     def _out_shape(self, x):
-        return (x.shape[0], self.out_features)
+        return (len(x), self.out_features)
 
     def _input_grad(self, dy, w, in_shape):
         return (dy @ w.T).reshape(in_shape)
 
     def forward(self, x, train=False):
         self._check_input(x)
-        cols, fill = self._patches(x)
         w = self.weight_matrix()
-        y = cols @ w
+        y = np.empty(self._out_shape(x))
+        y_rows = y.reshape(-1, w.shape[1])
+        for _, rows, cols in self._patch_blocks(x):
+            np.matmul(cols, w, out=y_rows[rows])
         if self.with_bias:
-            y += self.params[-1]
-        self._cache = (x, w, fill) if train else None
-        return y.reshape(self._out_shape(x))
+            y_rows += self.params[-1]
+        self._cache = (x, w) if train else None
+        return y
 
     def backward(self, dy, input_grad=True):
-        x, w, fill = self._require_cache()
-        cols, _ = self._patches(x, fill)
-        dy = dy.reshape(cols.shape[0], -1)
-        # dW = P^T dY, formed as (dY^T P)^T: on one OpenBLAS thread of a 2-vCPU
-        # x86 VM this order took 18 ms instead of 28 ms for 8192 x 576 patches
-        for g, dp in zip(self.grads, self.weight_grads((dy.T @ cols).T)):
+        x, w = self._require_cache()
+        dy = dy.reshape(-1, w.shape[1])
+        dx = np.empty(x.shape) if input_grad else None
+        dw = None
+        for samples, rows, cols in self._patch_blocks(x):
+            dy_b = dy[rows]
+            # dW = P^T dY, formed as (dY^T P)^T for patches with at least as many
+            # rows as columns: 18 instead of 28 ms for 8192 x 576 patches on one
+            # OpenBLAS thread of a 2-vCPU x86 VM.  With fewer rows the copy out of
+            # that view costs more: 424 against 72 ms, dense-fc 4096 -> 4096, batch 8.
+            g = (dy_b.T @ cols).T if len(cols) >= cols.shape[1] else cols.T @ dy_b
+            dw = g if dw is None else np.add(dw, g, out=dw)
+            if input_grad:
+                dx[samples] = self._input_grad(dy_b, w, dx[samples].shape)
+        for g, dp in zip(self.grads, self.weight_grads(dw)):
             g[...] = dp
         if self.with_bias:
             self.grads[-1][...] = dy.sum(axis=0)
-        return self._input_grad(dy, w, x.shape) if input_grad else None
+        return dx
 
     @property
     def dense_param_count(self):
@@ -244,9 +231,8 @@ class _MatrixLayer(Layer):
 class _ConvLayer(_MatrixLayer):
     """Valid stride-1 convolution: one patch row per output pixel (im2col_batch).
 
-    The patches live in the shared workspace (``_workspace_patches``), never
-    in the cache; ``backward`` rebuilds them from the cached input unless the
-    workspace's last fill was this layer's training forward for that input.
+    ``_patch_blocks`` walks the batch in blocks of whole images whose patches
+    fit ``_BLOCK_BYTES`` (at least one image), built in one buffer of that call.
     """
 
     in_channels = None
@@ -266,14 +252,23 @@ class _ConvLayer(_MatrixLayer):
         return (w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
     def _check_input(self, x):
-        # any other rank is left to im2col_shape's ShapeError
-        if x.ndim == 4 and x.shape[3] != self.in_channels:
+        im2col_shape(x.shape, self.ell)  # its ShapeErrors for a wrong rank or size
+        if x.shape[3] != self.in_channels:
             raise ShapeError(
                 f"{self.kind} expects {self.in_channels} input channels, got {x.shape[3]}"
             )
+        self._check_not_empty(x)
 
-    def _patches(self, x, fill=None):
-        return _workspace_patches(x, self.ell, fill)
+    def _patch_blocks(self, x):
+        rows, width = im2col_shape(x.shape, self.ell)
+        per_image = rows // len(x)
+        step = max(1, _BLOCK_BYTES // (8 * per_image * width))
+        buf = np.empty(min(step, len(x)) * per_image * width)
+        for start in range(0, len(x), step):
+            xb = x[start : start + step]
+            n = len(xb) * per_image
+            cols = im2col_batch(xb, self.ell, out=buf[: n * width].reshape(n, width))
+            yield slice(start, start + step), slice(start * per_image, start * per_image + n), cols
 
     def _out_shape(self, x):
         b, w, h, _ = x.shape
@@ -590,6 +585,7 @@ class BatchNorm(Layer):
         gamma, beta = self.params
         if x.shape[-1] != gamma.size:
             raise ShapeError(f"{self.kind} expects {gamma.size} channels, got {x.shape[-1]}")
+        self._check_not_empty(x)
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)

@@ -1204,3 +1204,122 @@ class TestPatchWorkspaceMemory:
         finally:
             tracemalloc.stop()
         assert peak < patch_bytes
+
+
+class TestPatchBlocks:
+    """A conv walks its batch in blocks of whole images.  With the block budget
+    shrunk so that a batch splits into several blocks, y and dx equal the
+    whole-batch ``im2col_batch`` reference bitwise, and dW the whole-batch
+    ``(dY^T P)^T`` to 1e-12 relative (the blocks sum it in another order)."""
+
+    KINDS = ["dense-conv", "tt-conv", "naive-tt-conv"]
+    IN_SHAPE, ELL = (7, 6, 3), 3  # 5 x 4 output pixels of 27 patch columns per image
+
+    @pytest.fixture
+    def two_images_per_block(self, monkeypatch):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", 2 * 20 * 27 * 8)
+
+    def _conv(self, kind):
+        layer = _conv_layer(kind, self.ELL, 5)
+        layer.build(self.IN_SHAPE, np.random.default_rng(4))
+        return layer
+
+    @pytest.mark.parametrize("batch, blocks", [(7, 4), (1, 1)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blocks_match_the_whole_batch(self, kind, batch, blocks, two_images_per_block):
+        layer = self._conv(kind)
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch,) + self.IN_SHAPE)
+        sizes = [len(cols) // 20 for _, _, cols in layer._patch_blocks(x)]
+        assert sizes == [2] * (blocks - 1) + [2 - batch % 2]
+        y = layer.forward(x, train=True)
+        dy = rng.standard_normal(y.shape)
+        dx = layer.backward(dy)
+        patches, w = im2col_batch(x, self.ELL), layer.weight_matrix()
+        dy_rows = dy.reshape(-1, 5)
+        assert np.array_equal(_bits(y), _bits((patches @ w + layer.params[-1]).reshape(y.shape)))
+        assert np.array_equal(_bits(dx), _bits(col2im_batch(dy_rows @ w.T, self.ELL, x.shape)))
+        grads = layer.weight_grads((dy_rows.T @ patches).T) + [dy_rows.sum(axis=0)]
+        for g, ref in zip(layer.grads, grads):
+            assert np.max(np.abs(g - ref.reshape(g.shape))) <= 1e-12 * np.max(np.abs(ref))
+        if blocks == 1:
+            for g, ref in zip(layer.grads, grads):
+                assert np.array_equal(_bits(g), _bits(ref.reshape(g.shape)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gradcheck_with_one_image_per_block(self, kind, monkeypatch):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", 1)
+        net = Network([Conv2D(2, 3), ReLU(), _conv_layer(kind, 2, 5), ReLU(), Dense(2)])
+        net.build((6, 5, 2), np.random.default_rng(12))
+        x = np.random.default_rng(13).standard_normal((3, 6, 5, 2))
+        assert len(list(net.layers[2]._patch_blocks(np.zeros((3, 5, 4, 3))))) == 3
+        for r in gradcheck(net, x, np.array([0, 1, 1])):
+            assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+
+class TestBlockedPatchMemory:
+    """No conv call holds more than one block of patches, and none outlives
+    the call.  One image of 18 x 18 x 32 has 256 x 288 patch entries (590 KB),
+    so at the shipped block budget a block holds 3 images.  Each test takes a
+    batch larger than any conv before it, so a buffer kept from an earlier
+    call could not hide its own."""
+
+    W, H, C, S, ELL = 18, 18, 32, 32, 3
+
+    def _layer_and_batch(self, b):
+        layer = Conv2D(self.ELL, self.S)
+        layer.build((self.W, self.H, self.C), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((b, self.W, self.H, self.C))
+        patch_bytes = b * (self.W - 2) * (self.H - 2) * self.ELL**2 * self.C * 8
+        return layer, x, patch_bytes
+
+    def test_training_step_peak_under_half_a_patch_matrix(self):
+        layer, x, patch_bytes = self._layer_and_batch(32)
+        dy = np.random.default_rng(2).standard_normal((32, self.W - 2, self.H - 2, self.S))
+        tracemalloc.start()
+        try:
+            layer.forward(x, train=True)
+            layer.backward(dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_bytes / 2
+
+    def test_eval_forward_leaves_no_patch_buffer(self):
+        layer, x, _ = self._layer_and_batch(40)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            y = layer.forward(x)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before - y.nbytes < 64 * 1024
+
+
+class TestEmptyBatch:
+    """A parametrized layer fed a batch of no samples is a ShapeError naming it."""
+
+    @pytest.mark.parametrize(
+        "layer, in_shape",
+        [
+            (lambda: Conv2D(3, 4), (5, 5, 3)),
+            (lambda: TTConv(3, 4, ranks=(2, 2), d=2), (5, 5, 3)),
+            (lambda: NaiveTTConv(2, 4, ranks=(2, 2, 2)), (5, 5, 3)),
+            (lambda: Dense(3), (5,)),
+            (lambda: TTDense(4, ranks=(2, 2), d=2), (2, 3)),
+            (lambda: BatchNorm(), (4, 4, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("train", [False, True])
+    def test_layer(self, layer, in_shape, train):
+        layer = layer()
+        layer.build(in_shape, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=f"^{layer.kind} got an empty batch$"):
+            layer.forward(np.zeros((0,) + in_shape), train=train)
+
+    def test_network(self):
+        net = small_mixed_net()
+        net.build((12, 12, 2), np.random.default_rng(7))
+        with pytest.raises(ShapeError, match=r"^layer 1 \(dense-conv\): dense-conv got an empty batch$"):
+            net.forward_loss(np.zeros((0, 12, 12, 2)), np.zeros(0, dtype=int), train=True)
