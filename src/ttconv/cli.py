@@ -127,6 +127,8 @@ def cmd_gradcheck(args):
         raise ValueError(f"--h must be positive, got {args.h}")
     if args.batch < 1:
         raise ValueError(f"--batch must be at least 1, got {args.batch}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed

@@ -50,7 +50,7 @@ class ConfigError(ValueError):
 # = 0 means no decay, and stripes-blobs draws blob centres from [1, size - 2]
 KEYS = {
     "name": (str, "model", None),
-    "seed": (int, 0, None),
+    "seed": (int, 0, 0),
     "epochs": (int, 30, 1),
     "lr": (float, 0.03, None),
     "momentum": (float, 0.9, None),
@@ -58,12 +58,12 @@ KEYS = {
     "decay_factor": (float, 10.0, None),
     "batch_size": (int, 128, 1),
     "dataset": (str, "stripes-blobs", None),
-    "dataset_seed": (int, 0, None),
+    "dataset_seed": (int, 0, 0),
     "train_size": (int, 2000, 1),
     "test_size": (int, 500, 1),
     "size": (int, 16, 3),
     "noise": (float, 1.0, None),
-    "init_seed": (int, None, None),
+    "init_seed": (int, None, 0),
 }
 _NOUNS = {int: "an integer", float: "a number"}
 
@@ -95,7 +95,7 @@ def parse_config(text: str) -> dict:
         if convert is float and not math.isfinite(cfg[key]):
             raise ConfigError(f"line {lineno}: {key} must be finite, got {value}")
     for key, (_, _, least) in KEYS.items():
-        if least is not None and cfg[key] < least:
+        if least is not None and cfg[key] is not None and cfg[key] < least:
             raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
     if not cfg["decay_factor"] > 0:
         raise ConfigError(f"decay_factor must be positive, got {cfg['decay_factor']}")

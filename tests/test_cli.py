@@ -308,7 +308,8 @@ class TestGradcheck:
         assert "FAIL" in out
 
     @pytest.mark.parametrize("flag,value", [("--h", "0"), ("--h", "-0.5"), ("--h", "nan"),
-                                            ("--batch", "0"), ("--batch", "-3")])
+                                            ("--batch", "0"), ("--batch", "-3"),
+                                            ("--seed", "-1")])
     def test_bad_step_or_batch_exit_2(self, tmp_path, capsys, flag, value):
         # --h 0 made every row pass; --batch -3 checked all but the last 3 images
         cfg = write_config(tmp_path, TOY_CONFIG)
@@ -563,6 +564,12 @@ class TestConfigErrors:
             ("test_size = 32", "test_size = 32\nsize = 0", "size must be at least 3, got 0"),
             ("test_size = 32", "test_size = 32\nsize = 2", "size must be at least 3, got 2"),
             ("decay_every = 20", "decay_every = -1", "decay_every must be at least 0, got -1"),
+            # numpy's default_rng refused these with a message naming no key
+            ("seed = 3", "seed = -1", "seed must be at least 0, got -1"),
+            ("test_size = 32", "test_size = 32\ninit_seed = -2",
+             "init_seed must be at least 0, got -2"),
+            ("test_size = 32", "test_size = 32\ndataset_seed = -5",
+             "dataset_seed must be at least 0, got -5"),
             ("decay_factor = 10", "decay_factor = 0", "decay_factor must be positive, got 0.0"),
             ("decay_factor = 10", "decay_factor = -10",
              "decay_factor must be positive, got -10.0"),
