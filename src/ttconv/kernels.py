@@ -1,10 +1,20 @@
 """TT-convolutional kernels: the reshaped higher-order decomposition and the
 naive direct decomposition of a 4-way convolution kernel.
 
-The proposed form factorizes channels as ``C = prod(C_k)`` and ``S = prod(S_k)``
-(padding with zero channels when needed), reshapes the padded ``l x l x C x S``
-kernel into a (d+1)-mode tensor with mode 0 of size ``l*l`` and mode k of size
-``C_k * S_k``, and runs TT-SVD.  Chain entries reconstruct the kernel as
+A TT weight is a chain of 3-D cores plus a layout, and ``KernelLayout`` is
+the one place a layout lives: it says where the chain's entries sit in the
+(l, l, C, S) kernel.  Its pair of maps gives the kernel matrix W as
+``layout.matrix(tt_chain(chain))`` and the cores' gradients given dL/dW as
+``tt_chain_grad(chain, layout.entries(dW))``; a dense kernel decomposes as
+``tt_svd(layout.entries(kernel))``.  Every function here that builds,
+differentiates, decomposes or reconstructs a kernel goes through that pair,
+and so do the TT layers of ``nn``.
+
+The proposed form (``kernel_layout``) factorizes channels as
+``C = prod(C_k)`` and ``S = prod(S_k)`` (padding with zero channels when
+needed), reshapes the padded ``l x l x C x S`` kernel into a (d+1)-mode
+tensor with mode 0 of size ``l*l`` and mode k of size ``C_k * S_k``, and runs
+TT-SVD.  Chain entries reconstruct the kernel as
 
     K[x, y, c', s'] = G0[x, y] @ G1[c_1, s_1] @ ... @ Gd[c_d, s_d]
 
@@ -12,26 +22,26 @@ where ``c'`` and ``s'`` are little-endian mixed-radix flattenings of the digit
 vectors, the spatial slice index is ``x + l * y`` and the compound slice index
 within mode k is ``c_k * S_k + s_k``, matching the matrix-TT convention.  The
 chain's entries are thus in C order of the digits (y, x, c_1, s_1, ..., c_d,
-s_d), the kernel's in C order of (x, y, c_d..c_1, s_d..s_1): one permutation,
-from ``_kernel_layout``, maps either to the other.  ``TTConvKernel`` holds
-its chain as a ``TTTensor``; ``_chain_cores`` and its inverse ``_kernel_cores``
-map between the chain's cores and (G0, G1, ..., Gd).  The forward convolution
-multiplies ``im2col_batch`` patches by the kernel flattened in C order, which
-``ttconv_matrix`` rebuilds from the cores; ``ttconv_matrix_grad`` is its VJP.
+s_d), the kernel's in C order of (x, y, c_d..c_1, s_d..s_1): one permutation
+maps either to the other.  ``TTConvKernel`` holds its chain as a
+``TTTensor``; ``_chain_cores`` and its inverse ``_kernel_cores`` map between
+the chain's cores and (G0, G1, ..., Gd).
 
-The naive baseline applies TT-SVD to the raw ``(l, l, C, S)`` tensor.
+The naive baseline (``naive_layout``) applies TT-SVD to the raw
+``(l, l, C, S)`` tensor: its layout is the identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .conv import conv2d_direct, conv2d_gemm
 from .errors import ShapeError
-from .tt import TTTensor, tt_chain, tt_chain_grad, tt_full, tt_param_count, tt_svd
+from .tt import TTTensor, tt_chain, tt_chain_grad, tt_param_count, tt_svd
 from .ttmatrix import TTMatrix
 
 
@@ -156,6 +166,59 @@ def factorize_channels(channels_in: int, channels_out: int, d: int) -> ChannelFa
     )
 
 
+class KernelLayout(NamedTuple):
+    """Where the entries of a TT chain sit in an (l, l, C, S) kernel.
+
+    The chain's entries, in C order of its ``modes``, have the digit shape
+    ``digits``; ``axes`` order those digits as the ``padded`` kernel
+    (l, l, C_pad, S_pad), whose real part is its first ``shape`` entries.
+    """
+
+    modes: tuple
+    digits: tuple
+    axes: tuple
+    padded: tuple
+    shape: tuple
+
+    def matrix(self, entries) -> np.ndarray:
+        """The real kernel of the chain's ``entries`` flattened in C order to
+        (l*l*C, S): the weight matrix of ``im2col_batch`` patches."""
+        kernel = entries.reshape(self.digits).transpose(self.axes).reshape(self.padded)
+        _, _, channels, n_out = self.shape
+        return kernel[:, :, :channels, :n_out].reshape(-1, n_out)
+
+    def entries(self, kernel) -> np.ndarray:
+        """The transpose of ``matrix``: an (l, l, c, S) kernel, or its
+        (l*l*c, S) matrix, zero-padded and shaped as the chain's modes."""
+        ell, _, c_pad, s_pad = self.padded
+        kernel = kernel.reshape(ell, ell, -1, self.shape[3])
+        if kernel.shape != self.padded:
+            widths = ((0, 0), (0, 0), (0, c_pad - kernel.shape[2]), (0, s_pad - kernel.shape[3]))
+            kernel = np.pad(kernel, widths)
+        kernel = kernel.reshape([self.digits[a] for a in self.axes])
+        return kernel.transpose(np.argsort(self.axes)).reshape(self.modes)
+
+
+def kernel_layout(ell, fact: ChannelFactorization, channels=None) -> KernelLayout:
+    """The proposed form's layout, real input channels ``channels`` (default all).
+
+    Digits (y, x, c_1, s_1, ..., c_d, s_d), ordered as the padded kernel's
+    (x, y, c_d..c_1, s_d..s_1), over modes (l*l, C_1*S_1, ..., C_d*S_d)."""
+    d = fact.depth
+    modes = (ell * ell,) + tuple(c * s for c, s in zip(fact.c_factors, fact.s_factors))
+    digits = (ell, ell) + tuple(f for pair in zip(fact.c_factors, fact.s_factors) for f in pair)
+    axes = (1, 0) + tuple(range(2 * d, 0, -2)) + tuple(range(2 * d + 1, 1, -2))
+    padded = (ell, ell, fact.c_padded, fact.s_padded)
+    shape = (ell, ell, channels or fact.channels_in, fact.channels_out)
+    return KernelLayout(modes, digits, axes, padded, shape)
+
+
+def naive_layout(shape) -> KernelLayout:
+    """The naive form's layout: the chain's modes are the (l, l, C, S) kernel's axes."""
+    shape = tuple(shape)
+    return KernelLayout(shape, shape, (0, 1, 2, 3), shape, shape)
+
+
 class TTConvKernel:
     """Convolution kernel held as its TT chain ``tt`` over (l*l, C_1*S_1, ..., C_d*S_d).
 
@@ -190,10 +253,6 @@ class TTConvKernel:
     def param_count(self) -> int:
         return tt_param_count(self.tt)
 
-    def as_tt(self) -> TTTensor:
-        """The underlying TT over modes (l*l, C_1*S_1, ..., C_d*S_d)."""
-        return self.tt
-
     def __repr__(self):
         return (
             f"TTConvKernel(ell={self.ell}, c_factors={self.fact.c_factors}, "
@@ -212,8 +271,7 @@ def ttconv_from_dense(kernel, fact: ChannelFactorization, max_ranks=None, tol=No
             f"({fact.channels_in}, {fact.channels_out})"
         )
     ell = kernel.shape[0]
-    modes = (ell * ell,) + tuple(c * s for c, s in zip(fact.c_factors, fact.s_factors))
-    tt = tt_svd(_chain_entries(kernel, fact).reshape(modes), max_ranks=max_ranks, tol=tol)
+    tt = tt_svd(kernel_layout(ell, fact).entries(kernel), max_ranks=max_ranks, tol=tol)
     return TTConvKernel(ell, fact, *_kernel_cores(tt.cores, ell, fact))
 
 
@@ -237,25 +295,6 @@ def _kernel_cores(chain, ell, fact: ChannelFactorization):
     return g0, cores
 
 
-def _kernel_layout(ell, fact: ChannelFactorization):
-    """Digit shape (y, x, c_1, s_1, ..., c_d, s_d) of the chain's entries, and the
-    axes that order those digits as the padded kernel's (x, y, c_d..c_1, s_d..s_1)."""
-    d = fact.depth
-    digits = (ell, ell) + tuple(f for pair in zip(fact.c_factors, fact.s_factors) for f in pair)
-    axes = (1, 0) + tuple(range(2 * d, 0, -2)) + tuple(range(2 * d + 1, 1, -2))
-    return digits, axes
-
-
-def _chain_entries(kernel, fact: ChannelFactorization):
-    """An (l, l, C, S) kernel, zero-padded to (C_pad, S_pad), in the chain's digit order."""
-    ell, _, channels, n_out = kernel.shape
-    if (channels, n_out) != (fact.c_padded, fact.s_padded):
-        widths = ((0, 0), (0, 0), (0, fact.c_padded - channels), (0, fact.s_padded - n_out))
-        kernel = np.pad(kernel, widths)
-    digits, axes = _kernel_layout(ell, fact)
-    return kernel.reshape([digits[a] for a in axes]).transpose(np.argsort(axes))
-
-
 def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.ndarray:
     """Kernel matrix of cores ``g0`` (l, l, r_1) and (r_k, C_k, S_k, r_{k+1}).
 
@@ -263,25 +302,20 @@ def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.nd
     and the real output channels, flattened in C order to (l*l*channels, S):
     the weight matrix of ``im2col_batch`` patches.
     """
-    ell = g0.shape[0]
-    digits, axes = _kernel_layout(ell, fact)
-    kernel = tt_chain(_chain_cores(g0, cores)).reshape(digits).transpose(axes)
-    kernel = kernel.reshape(ell, ell, fact.c_padded, fact.s_padded)
-    return kernel[:, :, :channels, : fact.channels_out].reshape(-1, fact.channels_out)
+    return kernel_layout(g0.shape[0], fact, channels).matrix(tt_chain(_chain_cores(g0, cores)))
 
 
 def ttconv_matrix_grad(g0, cores, fact: ChannelFactorization, dmat):
     """Gradients (dg0, dcores) of ``sum(dmat * ttconv_matrix(g0, cores, fact, C))``."""
     ell = g0.shape[0]
-    dkernel = dmat.reshape(ell, ell, dmat.shape[0] // (ell * ell), dmat.shape[1])
-    dfull = _chain_entries(dkernel, fact).reshape(-1)
+    dfull = kernel_layout(ell, fact).entries(dmat)
     return _kernel_cores(tt_chain_grad(_chain_cores(g0, cores), dfull), ell, fact)
 
 
 def ttconv_to_dense(tk: TTConvKernel) -> np.ndarray:
     """Materialize the dense kernel and strip dummy channels."""
-    mat = ttconv_matrix(tk.g0, tk.cores, tk.fact, tk.fact.channels_in)
-    return mat.reshape(tk.ell, tk.ell, tk.fact.channels_in, tk.fact.channels_out)
+    layout = kernel_layout(tk.ell, tk.fact)
+    return layout.matrix(tt_chain(tk.tt.cores)).reshape(layout.shape)
 
 
 def ttconv_forward(x, tk: TTConvKernel) -> np.ndarray:
@@ -289,40 +323,54 @@ def ttconv_forward(x, tk: TTConvKernel) -> np.ndarray:
     return conv2d_gemm(x, ttconv_to_dense(tk))
 
 
-def ttconv_to_ttmatrix(tk: TTConvKernel) -> TTMatrix:
-    """The per-pixel linear map of a 1x1 TT kernel as a matrix in TT format.
+def chain_ttmatrix(chain, fact: ChannelFactorization) -> TTMatrix:
+    """The per-pixel linear map of a 1x1 kernel's chain as a matrix in TT format.
 
     Returns the (S_padded x C_padded) matrix mapping input channels to output
-    channels, with the spatial core absorbed into the first channel core.
+    channels, with the spatial core absorbed into the first channel core and
+    each (c_k, s_k) mode taken as (s_k, c_k).
     """
-    if tk.ell != 1:
-        raise ShapeError("per-pixel matrix form requires a 1x1 kernel")
-    v = tk.g0[0, 0]
-    first = np.tensordot(v, tk.cores[0], axes=(0, 0))  # (C1, S1, r2)
-    chain = [first.transpose(1, 0, 2).reshape(1, -1, tk.cores[0].shape[3])]
-    for core in tk.cores[1:]:
+    g0, cores = _one_by_one_cores(chain, fact)
+    first = np.tensordot(g0[0, 0], cores[0], axes=(0, 0))  # (C1, S1, r2)
+    mats = [first.transpose(1, 0, 2).reshape(1, -1, cores[0].shape[3])]
+    for core in cores[1:]:
         r_in, ck, sk, r_out = core.shape
-        chain.append(core.transpose(0, 2, 1, 3).reshape(r_in, sk * ck, r_out))
-    return TTMatrix(TTTensor(chain), tk.fact.s_factors, tk.fact.c_factors)
+        mats.append(core.transpose(0, 2, 1, 3).reshape(r_in, sk * ck, r_out))
+    return TTMatrix(TTTensor(mats), fact.s_factors, fact.c_factors)
 
 
-def ttconv_to_ttmatrix_grad(tk: TTConvKernel, dcores):
-    """Gradients (dg0, [dG_k]) of the 1x1 kernel ``tk`` given the gradients
-    ``dcores`` of the cores of ``ttconv_to_ttmatrix(tk)``: that map's VJP.
+def chain_ttmatrix_grad(chain, fact: ChannelFactorization, dcores):
+    """Gradients (dg0, [dG_k]) of the 1x1 kernel of ``chain`` given the gradients
+    ``dcores`` of the cores of ``chain_ttmatrix(chain, fact)``: that map's VJP.
 
     Each (s_k, c_k) mode goes back to (c_k, s_k), and the first core's
     gradient is split between the spatial core and channel core 1.
     """
-    if tk.ell != 1:
-        raise ShapeError("per-pixel matrix form requires a 1x1 kernel")
+    g0, cores = _one_by_one_cores(chain, fact)
     dchan = [
         g.reshape(g.shape[0], sk, ck, g.shape[2]).transpose(0, 2, 1, 3)
-        for g, ck, sk in zip(dcores, tk.fact.c_factors, tk.fact.s_factors)
+        for g, ck, sk in zip(dcores, fact.c_factors, fact.s_factors)
     ]
     dfirst = dchan[0][0]  # (C1, S1, r2)
-    dg0 = np.tensordot(tk.cores[0], dfirst, axes=3).reshape(tk.g0.shape)
-    dchan[0] = np.multiply.outer(tk.g0[0, 0], dfirst)
+    dg0 = np.tensordot(cores[0], dfirst, axes=3).reshape(g0.shape)
+    dchan[0] = np.multiply.outer(g0[0, 0], dfirst)
     return dg0, dchan
+
+
+def _one_by_one_cores(chain, fact: ChannelFactorization):
+    if chain[0].shape[1] != 1:
+        raise ShapeError("per-pixel matrix form requires a 1x1 kernel")
+    return _kernel_cores(chain, 1, fact)
+
+
+def ttconv_to_ttmatrix(tk: TTConvKernel) -> TTMatrix:
+    """``chain_ttmatrix`` of a 1x1 TT kernel."""
+    return chain_ttmatrix(tk.tt.cores, tk.fact)
+
+
+def ttconv_to_ttmatrix_grad(tk: TTConvKernel, dcores):
+    """``chain_ttmatrix_grad`` of a 1x1 TT kernel."""
+    return chain_ttmatrix_grad(tk.tt.cores, tk.fact, dcores)
 
 
 def ttconv_core_shapes(ell: int, fact: ChannelFactorization, ranks) -> list:
@@ -369,16 +417,18 @@ def naive_ttconv_from_dense(kernel, max_ranks=None, tol=None) -> NaiveTTConvKern
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
         raise ShapeError(f"kernel must be l x l x C x S, got shape {kernel.shape}")
-    return NaiveTTConvKernel(tt_svd(kernel, max_ranks=max_ranks, tol=tol))
+    entries = naive_layout(kernel.shape).entries(kernel)
+    return NaiveTTConvKernel(tt_svd(entries, max_ranks=max_ranks, tol=tol))
 
 
 def naive_ttconv_to_dense(nk: NaiveTTConvKernel) -> np.ndarray:
-    return tt_full(nk.tt)
+    layout = naive_layout(nk.tt.mode_sizes)
+    return layout.matrix(tt_chain(nk.tt.cores)).reshape(layout.shape)
 
 
 def naive_ttconv_forward(x, nk: NaiveTTConvKernel) -> np.ndarray:
     """Dense convolution with the reconstructed kernel (desk-scale sizes)."""
-    return conv2d_direct(x, tt_full(nk.tt))
+    return conv2d_direct(x, naive_ttconv_to_dense(nk))
 
 
 def compression_ratio(dense_params: int, compressed_params: int) -> float:

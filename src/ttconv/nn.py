@@ -9,14 +9,19 @@ input has the per-sample size it was built for (channels for a convolution,
 features for a fully-connected layer) and at least one sample, and raises a
 ShapeError otherwise.  All
 parametrized layers share one body, ``y = patches @ W + b``, and differ only
-in how the weight matrix W is built from their parameters: TT layers keep
-their cores as the parameters, rebuild W from them on every forward pass and
-send dL/dW back to the cores through the gradient of the chain product.  A
-convolution's patches are in ``im2col_batch``'s channels-fastest order, so its
-W is the (l, l, C, S) kernel flattened in C order.
+in how the weight matrix W is built from their parameters.  A convolution's
+patches are in ``im2col_batch``'s channels-fastest order, so its W is the
+(l, l, C, S) kernel flattened in C order.
 
-``TTDense`` is the exception: it computes ``Y = X W`` through its cores one
-at a time (``ttmatrix.ttm_batch``) and never forms W.
+The three TT kinds share one weight, ``_TTWeight``: a chain of 3-D cores,
+viewed per call from the layer's parameters, plus its layout, a
+``kernels.KernelLayout``, which is the one place that says where the chain's
+entries sit in W.  W is ``layout.matrix(tt_chain(chain))``, rebuilt on every
+forward pass, and dL/dW goes back to the cores as
+``tt_chain_grad(chain, layout.entries(dW))``.  ``TTDense`` is the exception:
+it computes ``Y = X W`` through the matrix TT of its chain
+(``kernels.chain_ttmatrix``) one core at a time (``ttmatrix.ttm_batch``) and
+never forms W.
 
 The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
 layer's W: a TT conv layer above it fails at its first forward pass.
@@ -47,15 +52,16 @@ import numpy as np
 from .conv import im2col_batch, im2col_shape
 from .errors import FormatError, ShapeError, SizeError, TrainingDiverged
 from .kernels import (
-    TTConvKernel,
+    _chain_cores,
+    _kernel_cores,
+    chain_ttmatrix,
+    chain_ttmatrix_grad,
     compression_ratio,
     factorize_channels,
     fit_factorization,
+    kernel_layout,
+    naive_layout,
     ttconv_core_shapes,
-    ttconv_matrix,
-    ttconv_matrix_grad,
-    ttconv_to_ttmatrix,
-    ttconv_to_ttmatrix_grad,
 )
 from .tt import tt_chain, tt_chain_grad
 from .ttmatrix import ttm_batch, ttm_batch_vjp
@@ -120,10 +126,6 @@ class Layer:
     def dense_param_count(self):
         """Parameter count of the dense layer this one stands in for."""
         return self.param_count
-
-    def zero_grads(self):
-        for g in self.grads:
-            g[...] = 0.0
 
     def _register(self, *arrays):
         self.params = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
@@ -216,11 +218,14 @@ class _MatrixLayer(Layer):
             dw = g if dw is None else np.add(dw, g, out=dw)
             if input_grad:
                 dx[samples] = self._input_grad(dy_b, w, dx[samples].shape)
-        for g, dp in zip(self.grads, self.weight_grads(dw)):
+        self._set_grads(self.weight_grads(dw), dy)
+        return dx
+
+    def _set_grads(self, weight_grads, dy):
+        for g, dp in zip(self.grads, weight_grads):
             g[...] = dp
         if self.with_bias:
             self.grads[-1][...] = dy.sum(axis=0)
-        return dx
 
     @property
     def dense_param_count(self):
@@ -319,7 +324,31 @@ def _scaled_tt_init(rng, shapes, fan_in):
     return [fix * a for a in arrays]
 
 
-class _ProposedTT:
+class _TTWeight:
+    """The weight of the three TT kinds: a chain of 3-D cores and its
+    ``layout`` in W (``kernels.KernelLayout``), which a kind sets when it builds.
+
+    ``_chain()`` is the chain as a view of the weight parameters, taken per
+    call, and ``_unchain`` takes the chain's gradients back to the
+    parameters' shapes; by default the parameters are the chain's cores.
+    """
+
+    layout = None
+
+    def _chain(self):
+        return self._weights()
+
+    def _unchain(self, grads):
+        return grads
+
+    def weight_matrix(self):
+        return self.layout.matrix(tt_chain(self._chain()))
+
+    def weight_grads(self, dw):
+        return self._unchain(tt_chain_grad(self._chain(), self.layout.entries(dw)))
+
+
+class _ProposedTT(_TTWeight):
     """Weights in the proposed TT form (spatial core, then channel cores)."""
 
     fact = None
@@ -337,15 +366,15 @@ class _ProposedTT:
             fact = factorize_channels(channels, n_out, self.d)
         shapes = ttconv_core_shapes(self.ell, fact, self.ranks)
         self.fact = fact
+        self.layout = kernel_layout(self.ell, fact)
         return _scaled_tt_init(rng, shapes, self.ell * self.ell * channels)
 
-    def weight_matrix(self):
+    def _chain(self):
         g0, *cores = self._weights()
-        return ttconv_matrix(g0, cores, self.fact, self.fact.channels_in)
+        return _chain_cores(g0, cores)
 
-    def weight_grads(self, dw):
-        g0, *cores = self._weights()
-        dg0, dcores = ttconv_matrix_grad(g0, cores, self.fact, dw)
+    def _unchain(self, grads):
+        dg0, dcores = _kernel_cores(grads, self.ell, self.fact)
         return [dg0, *dcores]
 
 
@@ -362,7 +391,7 @@ class TTConv(_ProposedTT, _ConvLayer):
         super().__init__(ranks, d, factors, ell, out_channels, bias)
 
 
-class NaiveTTConv(_ConvLayer):
+class NaiveTTConv(_TTWeight, _ConvLayer):
     """Convolution with the raw 4-mode TT kernel (the baseline variant).
 
     Each forward pass rebuilds the dense kernel from the chain of cores.
@@ -380,13 +409,8 @@ class NaiveTTConv(_ConvLayer):
         modes = (self.ell, self.ell, channels, n_out)
         chain = (1,) + self.ranks + (1,)
         shapes = [(chain[k], modes[k], chain[k + 1]) for k in range(4)]
+        self.layout = naive_layout(modes)
         return _scaled_tt_init(rng, shapes, self.ell * self.ell * channels)
-
-    def weight_matrix(self):
-        return tt_chain(self._weights()).reshape(self.weight_shape)
-
-    def weight_grads(self, dw):
-        return tt_chain_grad(self._weights(), dw)
 
 
 class Dense(_MatrixLayer):
@@ -410,10 +434,10 @@ class TTDense(_ProposedTT, _MatrixLayer):
 
     The weights are those of a 1x1 TT convolution over the flattened input's
     features, whose kernel matrix is the matrix-TT product.  The forward pass
-    runs ``ttm_batch`` on that matrix TT (``ttconv_to_ttmatrix``: the spatial
-    core absorbed into the first channel core), with the padded input channels
-    of X zero-filled and the padded output channels sliced off Y, so W is
-    never formed; the backward pass reuses the sweep.
+    runs ``ttm_batch`` on that matrix TT (``chain_ttmatrix`` of its chain: the
+    spatial core absorbed into the first channel core), with the padded input
+    channels of X zero-filled and the padded output channels sliced off Y, so
+    W is never formed; the backward pass reuses the sweep.
     """
 
     kind = "tt-fc"
@@ -423,9 +447,8 @@ class TTDense(_ProposedTT, _MatrixLayer):
 
     def forward(self, x, train=False):
         self._check_input(x)
-        g0, *cores = self._weights()
-        tk = TTConvKernel(1, self.fact, g0, cores)
-        a = ttconv_to_ttmatrix(tk)
+        chain = self._chain()
+        a = chain_ttmatrix(chain, self.fact)
         cols = x.reshape(x.shape[0], -1)
         if self.fact.pad_c:
             cols = np.pad(cols, ((0, 0), (0, self.fact.pad_c)))
@@ -433,18 +456,15 @@ class TTDense(_ProposedTT, _MatrixLayer):
         y = y[:, : self.out_features]
         if self.with_bias:
             y = y + self.params[-1]
-        self._cache = (tk, a, sweep, x.shape) if train else None
+        self._cache = (chain, a, sweep, x.shape) if train else None
         return y
 
     def backward(self, dy, input_grad=True):
-        tk, a, sweep, in_shape = self._require_cache()
+        chain, a, sweep, in_shape = self._require_cache()
         dy = dy.reshape(dy.shape[0], -1)
         dx, dmats = ttm_batch_vjp(a, sweep, np.pad(dy, ((0, 0), (0, self.fact.pad_s))), input_grad)
-        dg0, dcores = ttconv_to_ttmatrix_grad(tk, dmats)
-        for g, dp in zip(self.grads, [dg0, *dcores]):
-            g[...] = dp
-        if self.with_bias:
-            self.grads[-1][...] = dy.sum(axis=0)
+        dg0, dcores = chain_ttmatrix_grad(chain, self.fact, dmats)
+        self._set_grads([dg0, *dcores], dy)
         return dx[:, : self.in_features].reshape(in_shape) if input_grad else None
 
 

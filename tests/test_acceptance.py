@@ -217,7 +217,7 @@ def test_criterion_6_parameter_accounting(tmp_path, capsys):
         by_hand = ell * ell * r[1]
         for k in range(fact.depth):
             by_hand += fact.c_factors[k] * fact.s_factors[k] * r[k + 1] * r[k + 2]
-        formula_ok = tk.param_count == by_hand == tt_param_count(tk.as_tt())
+        formula_ok = tk.param_count == by_hand == tt_param_count(tk.tt)
         printed_ratio = [l for l in printed.splitlines() if l.startswith("compression:")][0]
         printed_ratio = printed_ratio.split(":")[1].strip()
         ratio_ok = printed_ratio == f"{kernel.size / by_hand:.2f}"

@@ -23,9 +23,16 @@ from ttconv.kernels import (
     ttconv_to_ttmatrix,
     ttconv_to_ttmatrix_grad,
 )
-from ttconv.nn import TTConv
-from ttconv.tt import tt_chain, tt_chain_grad, tt_param_count, tt_svd
-from ttconv.ttmatrix import from_compound_tensor, to_compound_tensor, ttm_matvec
+from ttconv.nn import NaiveTTConv, TTConv, TTDense
+from ttconv.tt import TTTensor, tt_chain, tt_chain_grad, tt_param_count, tt_svd
+from ttconv.ttmatrix import (
+    TTMatrix,
+    from_compound_tensor,
+    to_compound_tensor,
+    ttm_batch,
+    ttm_batch_vjp,
+    ttm_matvec,
+)
 
 
 def full_ranks_for(ell, fact):
@@ -154,7 +161,7 @@ class TestFromToDense:
         kernel = rng.standard_normal((3, 3, 2, 2))
         fact = factorize_channels(2, 2, 1)
         tk = ttconv_from_dense(kernel, fact, max_ranks=full_ranks_for(3, fact))
-        tt = tk.as_tt()
+        tt = tk.tt
         for x in range(3):
             for y in range(3):
                 assert_allclose(tk.g0[x, y], tt.cores[0][0, x + 3 * y])
@@ -165,7 +172,7 @@ def reference_matrix(tk, channels):
     kernel_to_matrix's row order, then matrix_to_kernel and a C-order flattening."""
     ell, fact = tk.ell, tk.fact
     rows, cols = (ell * ell,) + fact.c_factors, (1,) + fact.s_factors
-    mat = from_compound_tensor(tt_chain(tk.as_tt().cores), rows, cols)
+    mat = from_compound_tensor(tt_chain(tk.tt.cores), rows, cols)
     mat = mat[: ell * ell * channels, : fact.channels_out]
     return matrix_to_kernel(mat, ell, channels).reshape(mat.shape)
 
@@ -179,7 +186,7 @@ def reference_matrix_grad(tk, dmat):
     dkernel[:, :, :channels, :n_out] = dmat.reshape(ell, ell, channels, n_out)
     # kernel_to_matrix's row i + l*j + l*l*c is the F-order flattening of (i, j, c)
     dfull = to_compound_tensor(dkernel.reshape((-1, fact.s_padded), order="F"), rows, cols)
-    grads = tt_chain_grad(tk.as_tt().cores, dfull)
+    grads = tt_chain_grad(tk.tt.cores, dfull)
     dg0 = grads[0].reshape(ell, ell, -1).transpose(1, 0, 2)
     return [dg0] + [g.reshape(core.shape) for g, core in zip(grads[1:], tk.cores)]
 
@@ -260,6 +267,113 @@ class TestLayoutMatchesPaperOrderRoute:
         tk = ttconv_from_dense(kernel, fact, max_ranks=max_ranks)
         for got, want in zip([tk.g0, *tk.cores], reference_from_dense(kernel, fact, max_ranks)):
             assert_bitwise_equal(got, want)
+
+
+def reference_ttmatrix(g0, cores, fact):
+    """The matrix TT of the 1x1 kernel (g0, cores) through a ``TTConvKernel``:
+    the spatial core absorbed into channel core 1, each (c_k, s_k) mode as
+    (s_k, c_k).  Returns the kernel too, for ``reference_ttmatrix_grad``."""
+    tk = TTConvKernel(1, fact, g0, cores)
+    first = np.tensordot(tk.g0[0, 0], tk.cores[0], axes=(0, 0))
+    chain = [first.transpose(1, 0, 2).reshape(1, -1, tk.cores[0].shape[3])]
+    for core in tk.cores[1:]:
+        r_in, ck, sk, r_out = core.shape
+        chain.append(core.transpose(0, 2, 1, 3).reshape(r_in, sk * ck, r_out))
+    return tk, TTMatrix(TTTensor(chain), fact.s_factors, fact.c_factors)
+
+
+def reference_ttmatrix_grad(tk, dcores):
+    """VJP of reference_ttmatrix: gradients (dg0, [dG_k]) of the kernel's cores."""
+    dchan = [
+        g.reshape(g.shape[0], sk, ck, g.shape[2]).transpose(0, 2, 1, 3)
+        for g, ck, sk in zip(dcores, tk.fact.c_factors, tk.fact.s_factors)
+    ]
+    dfirst = dchan[0][0]
+    dg0 = np.tensordot(tk.cores[0], dfirst, axes=3).reshape(tk.g0.shape)
+    dchan[0] = np.multiply.outer(tk.g0[0, 0], dfirst)
+    return [dg0, *dchan]
+
+
+def reference_tt_fc_pass(layer, x, dy):
+    """y, dx and parameter gradients of a training pass of a ``TTDense`` through
+    ``ttm_batch`` / ``ttm_batch_vjp`` on reference_ttmatrix of its cores."""
+    fact = layer.fact
+    tk, a = reference_ttmatrix(layer.params[0], layer.params[1 : 1 + fact.depth], fact)
+    cols = np.pad(x.reshape(len(x), -1), ((0, 0), (0, fact.pad_c)))
+    y, sweep = ttm_batch(a, cols)
+    y = y[:, : layer.out_features]
+    dx, dmats = ttm_batch_vjp(a, sweep, np.pad(dy, ((0, 0), (0, fact.pad_s))))
+    grads = reference_ttmatrix_grad(tk, dmats)
+    if layer.with_bias:
+        y = y + layer.params[-1]
+        grads.append(dy.sum(axis=0))
+    return [y, dx[:, : layer.in_features].reshape(x.shape)] + grads
+
+
+# (C, S): channel counts whose factorization needs no dummy channels, and
+# counts that need them on both sides
+LAYER_CHANNELS = [(4, 6), (3, 5)]
+# (input features, outputs, d, ranks): unpadded, padded outputs, padded inputs,
+# both padded, d = 1, and the paper-like tt-fc 14400 -> 64
+TT_FC_LAYERS = [
+    (16, 8, 2, (3, 2)),
+    (6, 5, 2, (2, 3)),
+    (5, 8, 2, (2, 2)),
+    (3, 7, 3, (2, 2, 2)),
+    (12, 9, 1, (3,)),
+    (14400, 64, 2, (8, 8)),
+]
+
+
+class TestLayersMatchKernelRoute:
+    """Each TT layer kind's weights, gradients and (for tt-fc) whole pass give
+    bitwise the values of its kernel-level route, at the same cores."""
+
+    @staticmethod
+    def dmat_layouts(shape):
+        # the network passes dL/dW as the transpose of a C-order product
+        dmat = np.random.default_rng(7).standard_normal(shape)
+        return dmat, np.asfortranarray(dmat)
+
+    @pytest.mark.parametrize("ell", [1, 3])
+    @pytest.mark.parametrize("c,s", LAYER_CHANNELS)
+    def test_naive_tt_conv(self, c, s, ell):
+        layer = NaiveTTConv(ell, s, ranks=(2, 3, 2))
+        layer.build((5, 5, c), np.random.default_rng(3))
+        chain = layer.params[:4]
+        assert_bitwise_equal(layer.weight_matrix(), tt_chain(chain).reshape(ell * ell * c, s))
+        for dmat in self.dmat_layouts((ell * ell * c, s)):
+            ref = tt_chain_grad(chain, dmat)
+            for got, want in zip(layer.weight_grads(dmat), ref, strict=True):
+                assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("ell", [1, 3])
+    @pytest.mark.parametrize("c,s", LAYER_CHANNELS)
+    def test_tt_conv(self, c, s, ell):
+        layer = TTConv(ell, s, ranks=(2, 3), d=2)
+        layer.build((5, 5, c), np.random.default_rng(4))
+        g0, *cores = layer.params[:3]
+        assert_bitwise_equal(layer.weight_matrix(), ttconv_matrix(g0, cores, layer.fact, c))
+        for dmat in self.dmat_layouts((ell * ell * c, s)):
+            dg0, dcores = ttconv_matrix_grad(g0, cores, layer.fact, dmat)
+            for got, want in zip(layer.weight_grads(dmat), [dg0, *dcores], strict=True):
+                assert_bitwise_equal(got, want)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("c,s,d,ranks", TT_FC_LAYERS)
+    def test_tt_fc(self, c, s, d, ranks, bias):
+        layer = TTDense(s, ranks=ranks, d=d, bias=bias)
+        layer.build((c,), np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        if bias:
+            layer.params[-1][...] = rng.standard_normal(s)
+        x, dy = rng.standard_normal((4, c)), rng.standard_normal((4, s))
+        want = reference_tt_fc_pass(layer, x, dy)
+        y = layer.forward(x, train=True)
+        got = [y, layer.backward(dy)] + layer.grads
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_bitwise_equal(a, b)
 
 
 class TestChainProductOracle:
@@ -456,7 +570,7 @@ class TestParamsAndRatio:
                 for k in range(d)
             )
             assert tk.param_count == expected
-            assert tk.param_count == tt_param_count(tk.as_tt())
+            assert tk.param_count == tt_param_count(tk.tt)
 
     def test_compression_ratio(self):
         assert compression_ratio(1000, 250) == 4.0
