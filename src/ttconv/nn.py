@@ -26,15 +26,19 @@ never forms W.
 The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
 layer's W: a TT conv layer above it fails at its first forward pass.
 
-A convolution builds its (B*W'*H', l*l*C) patch matrix a block of whole
-images at a time, as many images as fit ``_BLOCK_BYTES`` and at least one,
-in a buffer that lives for one call; its backward pass rebuilds each block
-from the cached input.  No conv holds more than one block of patches, and
-none outlives the call.
+A convolution builds its (B*W'*H', l*l*C) patch matrix a block at a time,
+in a buffer that lives for one call: blocks of whole images, as many as fit
+``_BLOCK_BYTES``, while one image's patches fit it, and otherwise runs of
+whole output rows of one image, as many as fit and at least one.  Its
+backward pass rebuilds each block from the cached input and sums dW over
+them.  No conv holds more than one block of patches, and none outlives the
+call.
 
 A convolution's input gradient is one GEMM per kernel offset (i, j),
 ``dY @ K[i, j]^T``, added straight into the input pixels that offset reads,
-so the (B*W'*H', l*l*C) patch gradient is never formed.
+so the (B*W'*H', l*l*C) patch gradient is never formed.  It needs no
+patches, so the backward pass forms dx apart from the patch blocks, in
+blocks of whole images written straight into their slice of dx.
 
 ``Network.backward`` only fills the parameter gradients.  Nothing reads the
 gradient of the network input, so the lowest parametrized layer skips its
@@ -141,13 +145,15 @@ class _MatrixLayer(Layer):
     """Shared body of the parametrized layers: ``y = patches @ W + b``.
 
     A patch row is one flattened sample here, one output pixel in
-    ``_ConvLayer``.  ``_patch_blocks(x)`` hands out the patches as blocks of
-    whole samples, ``(samples, rows, patches)``; here one block, a view of x.
-    The forward pass writes each block's ``patches @ W`` into its rows of y,
-    and the backward pass walks the same blocks, summing each block's dW and
-    writing its samples' dx (``_input_grad``, which a conv forms per kernel
-    offset instead of as ``dY W^T``).  The training cache is the input x (held
-    by reference, so it must not change before ``backward``) and W.
+    ``_ConvLayer``.  ``_patch_blocks(x)`` hands out the patches in blocks,
+    ``(samples, rows, patches)``: the samples the block reads, its rows of y
+    and its patches; here one block, a view of x.  The forward pass writes
+    each block's ``patches @ W`` into its rows of y, and the backward pass
+    walks the same blocks, summing each block's dW.  It then forms dx over
+    ``_sample_blocks(x)``, blocks of whole samples ``(samples, rows)``, each
+    written into its slice of dx by ``_input_grad`` (which a conv forms per
+    kernel offset instead of as ``dY W^T``).  The training cache is the input
+    x (held by reference, so it must not change before ``backward``) and W.
     Subclasses supply ``_init_weights(channels, n_out, rng)``,
     ``weight_matrix()`` and ``weight_grads(dw)``: the weight parameters, W
     built from them, and their gradients given dL/dW.  Bias goes last.
@@ -185,11 +191,18 @@ class _MatrixLayer(Layer):
     def _patch_blocks(self, x):
         yield slice(None), slice(None), x.reshape(len(x), -1)
 
+    def _sample_blocks(self, x):
+        yield slice(None), slice(None)
+
     def _out_shape(self, x):
         return (len(x), self.out_features)
 
-    def _input_grad(self, dy, w, in_shape):
-        return (dy @ w.T).reshape(in_shape)
+    def _input_grad(self, dy, w, in_shape, out=None):
+        """dx of the samples whose output gradients are ``dy``, written into
+        ``out`` (zeros of ``in_shape``; a new array by default) and returned."""
+        out = np.empty(in_shape) if out is None else out
+        np.matmul(dy, w.T, out=out.reshape(len(dy), -1))
+        return out
 
     def forward(self, x, train=False):
         self._check_input(x)
@@ -206,9 +219,8 @@ class _MatrixLayer(Layer):
     def backward(self, dy, input_grad=True):
         x, w = self._require_cache()
         dy = dy.reshape(-1, w.shape[1])
-        dx = np.empty(x.shape) if input_grad else None
         dw = None
-        for samples, rows, cols in self._patch_blocks(x):
+        for _, rows, cols in self._patch_blocks(x):
             dy_b = dy[rows]
             # dW = P^T dY, formed as (dY^T P)^T for patches with at least as many
             # rows as columns: 18 instead of 28 ms for 8192 x 576 patches on one
@@ -216,9 +228,13 @@ class _MatrixLayer(Layer):
             # that view costs more: 424 against 72 ms, dense-fc 4096 -> 4096, batch 8.
             g = (dy_b.T @ cols).T if len(cols) >= cols.shape[1] else cols.T @ dy_b
             dw = g if dw is None else np.add(dw, g, out=dw)
-            if input_grad:
-                dx[samples] = self._input_grad(dy_b, w, dx[samples].shape)
         self._set_grads(self.weight_grads(dw), dy)
+        if not input_grad:
+            return None
+        dx = np.zeros(x.shape)
+        for samples, rows in self._sample_blocks(x):
+            out = dx[samples]
+            self._input_grad(dy[rows], w, out.shape, out)
         return dx
 
     def _set_grads(self, weight_grads, dy):
@@ -237,7 +253,9 @@ class _ConvLayer(_MatrixLayer):
     """Valid stride-1 convolution: one patch row per output pixel (im2col_batch).
 
     ``_patch_blocks`` walks the batch in blocks of whole images whose patches
-    fit ``_BLOCK_BYTES`` (at least one image), built in one buffer of that call.
+    fit ``_BLOCK_BYTES`` or, when one image's do not, in even runs of whole
+    output rows of one image, at least one, all in one buffer per call.
+    ``_sample_blocks`` gives dx the same whole images, or one image each.
     """
 
     in_channels = None
@@ -264,28 +282,48 @@ class _ConvLayer(_MatrixLayer):
             )
         self._check_not_empty(x)
 
+    def _split(self, x):
+        """Images per block, and the output rows an image's blocks end at."""
+        _, w, h, c = x.shape
+        wo, ho = w - self.ell + 1, h - self.ell + 1
+        fit = max(1, _BLOCK_BYTES // (8 * ho * self.ell * self.ell * c))  # output rows
+        runs = -(-wo // fit)
+        return max(1, fit // wo), [wo * k // runs for k in range(runs + 1)]
+
     def _patch_blocks(self, x):
-        rows, width = im2col_shape(x.shape, self.ell)
-        per_image = rows // len(x)
-        step = max(1, _BLOCK_BYTES // (8 * per_image * width))
-        buf = np.empty(min(step, len(x)) * per_image * width)
-        for start in range(0, len(x), step):
-            xb = x[start : start + step]
-            n = len(xb) * per_image
+        b, w, h, c = x.shape
+        wo, ho, width = w - self.ell + 1, h - self.ell + 1, self.ell * self.ell * c
+        step, cuts = self._split(x)
+        spans = [
+            (s, min(s + step, b), r0, r1)
+            for s in range(0, b, step)
+            for r0, r1 in zip(cuts, cuts[1:])
+        ]
+        buf = np.empty(max((s1 - s0) * (r1 - r0) for s0, s1, r0, r1 in spans) * ho * width)
+        for s0, s1, r0, r1 in spans:
+            n = (s1 - s0) * (r1 - r0) * ho
+            start = (s0 * wo + r0) * ho
+            xb = x[s0:s1, r0 : r1 + self.ell - 1]
             cols = im2col_batch(xb, self.ell, out=buf[: n * width].reshape(n, width))
-            yield slice(start, start + step), slice(start * per_image, start * per_image + n), cols
+            yield slice(s0, s1), slice(start, start + n), cols
+
+    def _sample_blocks(self, x):
+        per_image = (x.shape[1] - self.ell + 1) * (x.shape[2] - self.ell + 1)
+        step, _ = self._split(x)
+        for s in range(0, len(x), step):
+            yield slice(s, s + step), slice(s * per_image, (s + step) * per_image)
 
     def _out_shape(self, x):
         b, w, h, _ = x.shape
         return (b, w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
-    def _input_grad(self, dy, w, in_shape):
+    def _input_grad(self, dy, w, in_shape, out=None):
         """``col2im_batch(dy @ w.T, l, in_shape)`` without the patch gradient:
         offset (i, j) adds ``dY @ K[i, j]^T`` into the pixels it reads, in
-        col2im_batch's (i, j) order."""
+        col2im_batch's (i, j) order, so ``out`` must hold zeros."""
         b, w_in, h_in, c = in_shape
         wo, ho = w_in - self.ell + 1, h_in - self.ell + 1
-        dx = np.zeros(in_shape)
+        dx = np.zeros(in_shape) if out is None else out
         for k, kernel in enumerate(w.reshape(self.ell * self.ell, c, -1)):
             i, j = divmod(k, self.ell)
             dx[:, i : i + wo, j : j + ho, :] += (dy @ kernel.T).reshape(b, wo, ho, c)
@@ -490,11 +528,14 @@ class MaxPool(Layer):
     """3x3 max pooling with stride 2; ties resolve to the first window slot.
 
     The nine window slots, in order ``i*3 + j`` (i along W, j along H), are
-    strided views of the input, so no window is copied: the forward pass is a
-    running ``np.maximum`` over them, and a window that holds a NaN pools to
-    NaN.  Training caches the input and output; the backward pass walks the
-    slots in the same order and routes each output gradient to the first slot
-    whose value equals the output.  A NaN window routes no gradient.
+    strided views of the input, so no window is copied.  The forward pass is
+    separable: a running ``np.maximum`` over the three columns j of every
+    window row, then over the three rows i.  Either keeps the earlier operand
+    on ties, so y holds the bits of the first maximal slot in ``i*3 + j``
+    order, and a window that holds a NaN pools to NaN.  Training caches the
+    input and output; the backward pass walks the slots in that order and
+    routes each output gradient to the first slot whose value equals the
+    output.  A NaN window routes no gradient.
     """
 
     kind = "max-pool"
@@ -520,12 +561,19 @@ class MaxPool(Layer):
     def forward(self, x, train=False):
         if x.ndim != 4:
             raise ShapeError(f"{self.kind} expects (B, W, H, C) input, got {x.ndim} dims")
-        slots = self._slots(x, x.shape[:1] + self.build(x.shape[1:], None))
-        y = next(slots).copy()
-        for v in slots:
-            # on equal values numpy returns the second operand, so y keeps the
-            # earlier slot's bits (this only shows for +0.0 against -0.0)
-            np.maximum(v, y, out=y)
+        wo, ho, _ = self.build(x.shape[1:], None)
+        k, s = self.size, self.stride
+        span_x, span_y = s * (wo - 1) + 1, s * (ho - 1) + 1
+        used = x[:, : span_x + k - 1]
+        # on equal values numpy returns the second operand, so the running
+        # maximum keeps the earlier slot's bits (this only shows for +0.0
+        # against -0.0)
+        rows = used[:, :, 0:span_y:s].copy()
+        for j in range(1, k):
+            np.maximum(used[:, :, j : j + span_y : s], rows, out=rows)
+        y = rows[:, 0:span_x:s].copy()
+        for i in range(1, k):
+            np.maximum(rows[:, i : i + span_x : s], y, out=y)
         self._cache = (x, y) if train else None
         return y
 
@@ -918,7 +966,10 @@ class Dataset:
 
 def evaluate(net: Network, x, targets, batch_size=256):
     """Mean accuracy in eval mode (running batch-norm statistics); the logits
-    and targets are checked as the loss head checks them."""
+    and targets are checked as the loss head checks them.  A set of no
+    samples is a ShapeError."""
+    if len(x) == 0:
+        raise ShapeError("evaluate got an empty set")
     correct = 0
     for start in range(0, len(x), batch_size):
         logits = net.forward(x[start : start + batch_size], train=False)
@@ -932,8 +983,13 @@ def train(net: Network, data: Dataset, opt: SGDMomentum, epochs, seed, batch_siz
 
     The seed fixes the shuffling order (initialization is fixed by whoever
     built the network).  Raises TrainingDiverged as soon as a batch loss is
-    not finite.
+    not finite, and a ShapeError naming the set if the training or the test
+    set holds no samples.  No local holds a batch's images, so the backward
+    pass holds only what the layers cache.
     """
+    for name, x in (("training", data.x_train), ("test", data.x_test)):
+        if len(x) == 0:
+            raise ShapeError(f"train got an empty {name} set")
     rng = np.random.default_rng(seed)
     n = len(data.x_train)
     log = []
@@ -944,8 +1000,8 @@ def train(net: Network, data: Dataset, opt: SGDMomentum, epochs, seed, batch_siz
         total_correct = 0
         for start in range(0, n, batch_size):
             sel = perm[start : start + batch_size]
-            xb, yb = data.x_train[sel], data.y_train[sel]
-            logits, loss = net.forward_loss(xb, yb, train=True)
+            yb = data.y_train[sel]
+            logits, loss = net.forward_loss(data.x_train[sel], yb, train=True)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
             net.backward()

@@ -1254,9 +1254,111 @@ class TestPatchBlocks:
         net = Network([Conv2D(2, 3), ReLU(), _conv_layer(kind, 2, 5), ReLU(), Dense(2)])
         net.build((6, 5, 2), np.random.default_rng(12))
         x = np.random.default_rng(13).standard_normal((3, 6, 5, 2))
-        assert len(list(net.layers[2]._patch_blocks(np.zeros((3, 5, 4, 3))))) == 3
+        assert len(list(net.layers[2]._patch_blocks(np.zeros((3, 5, 4, 3))))) == 12
         for r in gradcheck(net, x, np.array([0, 1, 1])):
             assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+
+class TestRowBlocks:
+    """When one image's patches exceed the block budget, a conv walks each
+    image in runs of whole output rows, as many as fit and split as evenly as
+    they go.  y and dx still equal the whole-batch ``im2col_batch`` reference
+    bitwise, and every gradient the whole-batch one to 1e-12 relative."""
+
+    KINDS = ["dense-conv", "tt-conv", "naive-tt-conv"]
+    IN_SHAPE, ELL = (9, 6, 3), 3  # 7 x 4 output pixels of 27 patch columns per image
+    ROW_BYTES = 4 * 27 * 8  # the patches of one output row
+
+    def _fit_rows(self, monkeypatch, rows):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", rows * self.ROW_BYTES + 8)
+
+    @pytest.mark.parametrize(
+        "fit, runs", [(1, [1] * 7), (2, [1, 2, 2, 2]), (3, [2, 2, 3]), (6, [3, 4])]
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_match_the_whole_batch(self, kind, fit, runs, monkeypatch):
+        self._fit_rows(monkeypatch, fit)
+        layer = _conv_layer(kind, self.ELL, 5)
+        layer.build(self.IN_SHAPE, np.random.default_rng(4))
+        rng = np.random.default_rng(fit)
+        x = rng.standard_normal((3,) + self.IN_SHAPE)
+        blocks = [(samples, len(cols) // 4) for samples, _, cols in layer._patch_blocks(x)]
+        assert blocks == [(slice(s, s + 1), r) for s in range(3) for r in runs]
+        y = layer.forward(x, train=True)
+        dy = rng.standard_normal(y.shape)
+        dx = layer.backward(dy)
+        patches, w = im2col_batch(x, self.ELL), layer.weight_matrix()
+        dy_rows = dy.reshape(-1, 5)
+        assert np.array_equal(_bits(y), _bits((patches @ w + layer.params[-1]).reshape(y.shape)))
+        assert np.array_equal(_bits(layer.forward(x)), _bits(y))
+        assert np.array_equal(_bits(dx), _bits(col2im_batch(dy_rows @ w.T, self.ELL, x.shape)))
+        grads = layer.weight_grads((dy_rows.T @ patches).T) + [dy_rows.sum(axis=0)]
+        for g, ref in zip(layer.grads, grads):
+            assert np.max(np.abs(g - ref.reshape(g.shape))) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gradcheck_through_row_blocks(self, kind, monkeypatch):
+        self._fit_rows(monkeypatch, 2)
+        net = Network([ZeroPad(1), _conv_layer(kind, 3, 4), ReLU(), Conv2D(3, 3), Dense(2)])
+        net.build((7, 4, 3), np.random.default_rng(21))
+        assert len(list(net.layers[1]._patch_blocks(np.zeros((2, 9, 6, 3))))) == 8
+        x = np.random.default_rng(22).standard_normal((2, 7, 4, 3))
+        for r in gradcheck(net, x, np.array([0, 1])):
+            assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+
+class TestTrainingStepMemory:
+    """A training step holds its activations and one patch block, even when
+    one image's patches exceed the block budget: 32 x 32 x 64 zero-padded to
+    34 x 34 x 64 has 1024 x 576 patch entries (4.7 MB) per image."""
+
+    def test_step_holds_activations_and_one_block(self, monkeypatch):
+        net = Network([ZeroPad(1), Conv2D(3, 8), Dense(2)])
+        net.build((32, 32, 64), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((1, 32, 32, 64))
+        targets = np.array([1])
+        buffers = []
+
+        def im2col(xb, ell, out=None):
+            buffers.append(out.nbytes if out.base is None else out.base.nbytes)
+            return im2col_batch(xb, ell, out=out)
+
+        monkeypatch.setattr(nn, "im2col_batch", im2col)
+        net.forward_loss(x, targets, train=True)
+        net.backward()
+        padded = 34 * 34 * 64 * 8
+        tracemalloc.start()
+        try:
+            net.forward_loss(x, targets, train=True)
+            net.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert buffers and max(buffers) <= nn._BLOCK_BYTES
+        assert peak <= padded + nn._BLOCK_BYTES + 256 * 1024
+
+    def test_train_holds_no_batch_in_backward(self):
+        rng = np.random.default_rng(2)
+        data = Dataset(
+            rng.standard_normal((4, 6, 6, 2)), np.array([0, 1, 1, 0]),
+            rng.standard_normal((2, 6, 6, 2)), np.array([1, 0]),
+        )
+        net = Network([ZeroPad(1), Conv2D(3, 4), ReLU(), Dense(2)])
+        net.build((6, 6, 2), np.random.default_rng(3))
+        batches, alive = [], []
+        forward_loss, backward = net.forward_loss, net.backward
+
+        def forward_loss_spy(x, targets, train=False):
+            batches.append(weakref.ref(x))
+            return forward_loss(x, targets, train)
+
+        def backward_spy():
+            alive.append(batches[-1]() is not None)
+            backward()
+
+        net.forward_loss, net.backward = forward_loss_spy, backward_spy
+        train(net, data, SGDMomentum(lr=0.01), epochs=1, seed=0, batch_size=2)
+        assert alive == [False, False]
 
 
 class TestBlockedPatchMemory:
@@ -1325,3 +1427,21 @@ class TestEmptyBatch:
         net.build((12, 12, 2), np.random.default_rng(7))
         with pytest.raises(ShapeError, match=r"^layer 1 \(dense-conv\): dense-conv got an empty batch$"):
             net.forward_loss(np.zeros((0, 12, 12, 2)), np.zeros(0, dtype=int), train=True)
+
+    def test_evaluate(self):
+        net = tiny_net()
+        net.build((6, 6, 1), np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="^evaluate got an empty set$"):
+            evaluate(net, np.zeros((0, 6, 6, 1)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("empty", ["training", "test"])
+    def test_train(self, empty):
+        data = tiny_dataset(np.random.default_rng(0), n_train=8, n_test=4)
+        if empty == "training":
+            data.x_train, data.y_train = data.x_train[:0], data.y_train[:0]
+        else:
+            data.x_test, data.y_test = data.x_test[:0], data.y_test[:0]
+        net = tiny_net()
+        net.build(data.input_shape, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=f"^train got an empty {empty} set$"):
+            train(net, data, SGDMomentum(lr=0.01), epochs=1, seed=0, batch_size=4)
