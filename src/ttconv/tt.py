@@ -27,6 +27,16 @@ _TIE_RTOL = 1e-12
 # Not above 1e-14: a spectrum graded down to 1e-13 is real.
 _RANK_RTOL = 1e-14
 
+# tt_svd takes the R factor of a tall unfolding from row blocks of this many
+# bytes (_qr_r), so LAPACK's copies of it stay block-sized.  A block is never
+# shorter than _QR_MIN_ASPECT times its width (at least 2, or the stacked R's
+# do not shrink): near-square blocks cost more than one whole call.  On one
+# OpenBLAS thread of a 2-vCPU x86 VM, (2048, 384) took 52 ms in blocks of 2n
+# rows against 37 ms whole; blocks of 8n rows or more took 0.4-1.1x the whole
+# call from (4608, 512) to (393216, 3).
+_QR_BLOCK_BYTES = 2 << 20
+_QR_MIN_ASPECT = 8
+
 
 class TTTensor:
     """Immutable tensor in TT format.
@@ -159,6 +169,24 @@ def _truncation_rank(s: np.ndarray, budget: float) -> int:
     return r
 
 
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """R factor of ``a`` (m, n) with m >= n, as ``np.linalg.qr(a, mode="r")``
+    gives it up to row signs and rounding.
+
+    A matrix taller than one block (``_QR_BLOCK_BYTES``, and at least
+    ``_QR_MIN_ASPECT`` times its width) is cut into row blocks; the R's of
+    the blocks are stacked and reduced the same way until one call fits
+    (TSQR, Demmel et al. 2012).  No call copies more than one block.
+    """
+    n = a.shape[1]
+    height = max(_QR_BLOCK_BYTES // (8 * n), _QR_MIN_ASPECT * n)
+    while len(a) > height:
+        a = np.concatenate(
+            [np.linalg.qr(a[i : i + height], mode="r") for i in range(0, len(a), height)]
+        )
+    return np.linalg.qr(a, mode="r")
+
+
 def tt_svd(a, max_ranks=None, tol: float | None = None) -> TTTensor:
     """Decompose a dense tensor into TT format by a sequential SVD sweep.
 
@@ -171,14 +199,16 @@ def tt_svd(a, max_ranks=None, tol: float | None = None) -> TTTensor:
 
     No unfolding is decomposed in full.  A Householder QR of its long side
     leaves a small triangle R with the same singular values, and only R gets
-    an SVD (Chan's R-SVD): a wide unfolding is projected onto the kept left
-    singular vectors, a tall one onto the kept right singular vectors and
-    re-orthonormalized by a thin QR.  Every core but the last is therefore
-    left-orthonormal, and the ranks and the error are those of the sweep
-    that takes a full SVD of each unfolding; cores may differ from it in
-    column signs.  Under ``max_ranks`` a singular value at or below
-    ``_RANK_RTOL`` times the largest counts as zero, so a zero slice gives
-    the exact rank.
+    an SVD (Chan's R-SVD).  The R of a tall-skinny long side comes from row
+    blocks (``_qr_r``), so LAPACK makes no full-size copy of it.  A wide
+    unfolding is projected onto the kept left singular vectors, a tall one
+    onto the kept right singular vectors and re-orthonormalized by a thin QR.
+    Every core but the last is therefore left-orthonormal, and the ranks and
+    the error are those of the sweep that takes a full SVD of each
+    unfolding; cores may differ from it in column signs.  Under
+    ``max_ranks`` a singular value at or below ``_RANK_RTOL`` times the
+    largest counts as zero, so a zero slice gives the exact rank.  A tensor
+    with a NaN or infinite entry raises ValueError.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.size == 0:
@@ -198,6 +228,13 @@ def tt_svd(a, max_ranks=None, tol: float | None = None) -> TTTensor:
             raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
     norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):  # a finite tensor whose norm overflows passes
+        nan = int(np.count_nonzero(np.isnan(a)))
+        inf = int(np.count_nonzero(np.isinf(a)))
+        if nan or inf:
+            raise ValueError(
+                f"cannot decompose a tensor with non-finite entries ({nan} NaN, {inf} inf)"
+            )
     if norm == 0.0:
         return TTTensor([np.zeros((1, n, 1)) for n in shape])
 
@@ -211,9 +248,9 @@ def tt_svd(a, max_ranks=None, tol: float | None = None) -> TTTensor:
         # mat^T = Q R (wide) or mat = Q R (tall); Q is never formed.
         wide = mat.shape[0] <= mat.shape[1]
         if wide:
-            u, s, _ = np.linalg.svd(np.linalg.qr(mat.T, mode="r").T)
+            u, s, _ = np.linalg.svd(_qr_r(mat.T).T)
         else:
-            _, s, vt = np.linalg.svd(np.linalg.qr(mat, mode="r"))
+            _, s, vt = np.linalg.svd(_qr_r(mat))
         if max_ranks is not None:
             r = min(max_ranks[k], int(np.count_nonzero(s > _RANK_RTOL * s[0])))
         else:

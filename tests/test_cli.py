@@ -142,6 +142,20 @@ class TestDecompose:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("bad,counts", [(np.nan, "1 NaN, 0 inf"), (np.inf, "0 NaN, 1 inf")])
+    @pytest.mark.parametrize("mode", ["tt", "ttconv", "ttconv-naive"])
+    def test_non_finite_kernel_exit_2(self, tmp_path, capsys, mode, bad, counts):
+        kernel = np.random.default_rng(4).standard_normal((3, 3, 8, 8))
+        kernel[1, 2, 3, 4] = bad
+        src = tmp_path / "k.ten"
+        save_dense(src, kernel)
+        code, out, err = run(capsys, "decompose", str(src), "-o", str(tmp_path / "k.out"),
+                             "--mode", mode, "--tol", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot decompose a tensor with non-finite entries ({counts})\n"
+        assert not (tmp_path / "k.out").exists()
+
     def test_garbage_input_exit_2(self, tmp_path, capsys):
         src = tmp_path / "bad.ten"
         src.write_bytes(b"not a tensor at all")

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 import weakref
@@ -1305,6 +1306,24 @@ class TestRowBlocks:
         x = np.random.default_rng(22).standard_normal((2, 7, 4, 3))
         for r in gradcheck(net, x, np.array([0, 1])):
             assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+    def test_paper_net_row_blocks_keep_dw_bitwise(self):
+        # 34 x 34 x 64 -> 32 x 32 x 64 at the default budget: runs of 10, 11 and
+        # 11 output rows, so 320 and 352 patch rows of 576 columns.  dW is the
+        # sum of the blocks' P^T dY, whichever orientation forms each product.
+        layer = Conv2D(3, 64)
+        layer.build((34, 34, 64), np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((1, 34, 34, 64))
+        dy = rng.standard_normal(layer.forward(x, train=True).shape)
+        layer.backward(dy, input_grad=False)
+        dy_rows = dy.reshape(-1, 64)
+        blocks = [(rows, cols.copy()) for _, rows, cols in layer._patch_blocks(x)]
+        assert [cols.shape for _, cols in blocks] == [(320, 576), (352, 576), (352, 576)]
+        rows, cols = blocks[1]
+        assert np.array_equal(_bits((dy_rows[rows].T @ cols).T), _bits(cols.T @ dy_rows[rows]))
+        ref = functools.reduce(np.add, [cols.T @ dy_rows[rows] for rows, cols in blocks])
+        assert np.array_equal(_bits(layer.grads[0].reshape(ref.shape)), _bits(ref))
 
 
 class TestTrainingStepMemory:

@@ -7,9 +7,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ttconv import tt as tt_module
 from ttconv.errors import ShapeError, SizeError
 from ttconv.tt import (
     TTTensor,
+    _qr_r,
     _truncation_rank,
     random_tt,
     tt_chain,
@@ -38,6 +40,33 @@ def chain_element_oracle(cores, index):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(a)
+
+
+def qr_height(n):
+    """Rows of one _qr_r block for width n, at the module's current constants."""
+    return max(tt_module._QR_BLOCK_BYTES // (8 * n), tt_module._QR_MIN_ASPECT * n)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """QR row blocks of twice the width, so every unfolding taller than that is cut."""
+    monkeypatch.setattr(tt_module, "_QR_BLOCK_BYTES", 1)
+    monkeypatch.setattr(tt_module, "_QR_MIN_ASPECT", 2)
+
+
+@pytest.fixture
+def r_calls(monkeypatch):
+    """Shapes of the R-only np.linalg.qr calls made while the test runs."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        if mode == "r":
+            shapes.append(np.shape(a))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return shapes
 
 
 class TestTTElement:
@@ -158,6 +187,25 @@ class TestTTSVD:
         v = np.array([1.0, -2.0, 4.0])
         tt = tt_svd(v, max_ranks=())
         assert_allclose(tt_full(tt), v)
+
+    @pytest.mark.parametrize(
+        "bad,message", [(np.nan, r"\(1 NaN, 0 inf\)"), (-np.inf, r"\(0 NaN, 1 inf\)")]
+    )
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.1}, {"max_ranks": (2, 2)}])
+    def test_non_finite_entries_rejected_before_any_qr(self, r_calls, bad, message, kwargs):
+        a = np.random.default_rng(9).standard_normal((3, 4, 5))
+        a[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite entries " + message):
+            tt_svd(a, **kwargs)
+        assert r_calls == []
+
+    def test_huge_finite_entries_pass_the_finite_check(self):
+        a = np.full((2, 3), 1e300)
+        a[0, 0] = 2e300
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.linalg.norm(a))
+            tt = tt_svd(a, max_ranks=(2,))
+        assert tt.ranks == (1, 2, 1)
 
     def test_argument_validation(self):
         a = np.ones((2, 2))
@@ -338,6 +386,36 @@ def unfolding_kinds(tt):
     return kinds
 
 
+def assert_matches_full_svd_sweep(a, kwargs):
+    """tt_svd against the full-SVD oracle: same error, ranks (up to directions
+    that carry nothing) and left-orthonormal cores."""
+    tt = tt_svd(a, **kwargs)
+    ref = full_svd_sweep(a, **kwargs)
+    norm = np.linalg.norm(a)
+    err = np.linalg.norm(a - tt_full(tt))
+    assert abs(err - np.linalg.norm(a - tt_full(ref))) <= 1e-12 * norm
+    if "tol" in kwargs:
+        assert err <= kwargs["tol"] * norm
+        assert tt.ranks == ref.ranks
+    elif tt.ranks != ref.ranks:
+        # An unfolding with an exactly zero singular value (a zero slice)
+        # gets it from LAPACK as 0.0 or as ~1e-17 depending on its internal
+        # path, so count_nonzero keeps or drops that direction by rounding.
+        # A rank may then differ only by directions that carry nothing.
+        for k in range(1, a.ndim):
+            low = min(tt.ranks[k], ref.ranks[k])
+            for t in (tt, ref):
+                sv = np.linalg.svd(
+                    tt_full(t).reshape(math.prod(a.shape[:k]), -1), compute_uv=False
+                )
+                assert np.all(sv[low:] <= 1e-14 * norm)
+    if norm == 0.0:
+        return
+    for core in tt.cores[:-1]:
+        q = core.reshape(-1, core.shape[2])
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+
+
 class TestSweepAgainstFullSVD:
     @settings(
         max_examples=300,
@@ -350,32 +428,21 @@ class TestSweepAgainstFullSVD:
     @example((np.arange(1.0, 19.0).reshape(2, 9), {"tol": 1e-12}))
     @example((np.eye(4).reshape(2, 2, 2, 2), {"max_ranks": (9, 9, 9)}))
     def test_ranks_error_and_orthonormality_match_oracle(self, case):
-        a, kwargs = case
-        tt = tt_svd(a, **kwargs)
-        ref = full_svd_sweep(a, **kwargs)
-        norm = np.linalg.norm(a)
-        err = np.linalg.norm(a - tt_full(tt))
-        assert abs(err - np.linalg.norm(a - tt_full(ref))) <= 1e-12 * norm
-        if "tol" in kwargs:
-            assert err <= kwargs["tol"] * norm
-            assert tt.ranks == ref.ranks
-        elif tt.ranks != ref.ranks:
-            # An unfolding with an exactly zero singular value (a zero slice)
-            # gets it from LAPACK as 0.0 or as ~1e-17 depending on its internal
-            # path, so count_nonzero keeps or drops that direction by rounding.
-            # A rank may then differ only by directions that carry nothing.
-            for k in range(1, a.ndim):
-                low = min(tt.ranks[k], ref.ranks[k])
-                for t in (tt, ref):
-                    sv = np.linalg.svd(
-                        tt_full(t).reshape(math.prod(a.shape[:k]), -1), compute_uv=False
-                    )
-                    assert np.all(sv[low:] <= 1e-14 * norm)
-        if norm == 0.0:
-            return
-        for core in tt.cores[:-1]:
-            q = core.reshape(-1, core.shape[2])
-            assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+        assert_matches_full_svd_sweep(*case)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(sweep_inputs())
+    @example((np.arange(1.0, 19.0).reshape(9, 2), {"max_ranks": (5,)}))
+    @example((np.arange(1.0, 19.0).reshape(2, 9), {"tol": 1e-12}))
+    def test_row_blocked_r_matches_oracle(self, small_blocks, r_calls, case):
+        r_calls.clear()
+        assert_matches_full_svd_sweep(*case)
+        assert all(m <= qr_height(n) for m, n in r_calls)
 
     @pytest.mark.parametrize(
         "modes,kinds",
@@ -394,3 +461,47 @@ class TestSweepAgainstFullSVD:
         assert unfolding_kinds(tt) == kinds
         assert tt.ranks == ref.ranks
         assert rel_err(a, tt_full(tt)) <= 1e-13
+
+
+
+def signed_rows(r):
+    """R with each row scaled so its diagonal entry is nonnegative."""
+    return r * np.where(np.diag(r) < 0, -1.0, 1.0)[:, None]
+
+
+class TestRowBlockedR:
+    @pytest.mark.parametrize(
+        "shape,calls",
+        [
+            # blocks of 10 rows: 10,10,10,10,3 -> 23 rows -> 10,10,3 -> 13 -> 10,3 -> 8
+            ((43, 5), [(10, 5)] * 4 + [(3, 5), (10, 5), (10, 5), (3, 5), (10, 5), (3, 5), (8, 5)]),
+            ((20, 5), [(10, 5), (10, 5), (10, 5)]),
+            ((10, 5), [(10, 5)]),
+            ((5, 5), [(5, 5)]),
+            ((7, 1), [(2, 1)] * 3 + [(1, 1), (2, 1), (2, 1), (2, 1)]),
+        ],
+    )
+    def test_matches_lapack_up_to_row_signs(self, small_blocks, r_calls, shape, calls):
+        a = np.random.default_rng(shape[0]).standard_normal(shape)
+        whole = np.linalg.qr(a, mode="r")
+        r_calls.clear()
+        r = _qr_r(a)
+        assert r_calls == calls
+        assert r.shape == whole.shape
+        assert_allclose(signed_rows(r), signed_rows(whole), rtol=0, atol=1e-12)
+
+    def test_near_square_matrix_stays_one_call(self, r_calls):
+        a = np.random.default_rng(1).standard_normal((2048, 384))
+        _qr_r(a)
+        assert r_calls == [(2048, 384)]
+
+    @pytest.mark.parametrize("shape", [(4, 1 << 17), (1 << 14, 64)])
+    def test_no_r_call_in_tt_svd_exceeds_one_block(self, r_calls, shape):
+        # a wide unfolding (131072 x 4 after transposing) and a tall one, each
+        # above the default block budget
+        a = np.random.default_rng(2).standard_normal(shape)
+        tt = tt_svd(a, max_ranks=(100,))
+        assert tt.ranks == (1, min(shape), 1)
+        assert len(r_calls) > 1
+        assert all(m <= qr_height(n) for m, n in r_calls)
+        assert rel_err(a, tt_full(tt)) <= 1e-12
