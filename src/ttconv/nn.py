@@ -4,10 +4,10 @@ Layers operate on batches: images are (B, W, H, C) arrays, flat features
 (B, F).  Every layer owns its parameter arrays and matching gradient buffers;
 ``backward`` must be called right after ``forward`` on the same batch.  A
 parametrized layer's training cache holds that batch by reference, so it must
-not be modified between the two calls.  A parametrized layer checks that its
-input has the per-sample size it was built for (channels for a convolution,
-features for a fully-connected layer) and at least one sample, and raises a
-ShapeError otherwise.  All
+not be modified between the two calls, and one backward call uses the cache
+up.  A parametrized layer checks that its input has the per-sample size it
+was built for (channels for a convolution, features for a fully-connected
+layer) and at least one sample, and raises a ShapeError otherwise.  All
 parametrized layers share one body, ``y = patches @ W + b``, and differ only
 in how the weight matrix W is built from their parameters.  A convolution's
 patches are in ``im2col_batch``'s channels-fastest order, so its W is the
@@ -40,11 +40,20 @@ so the (B*W'*H', l*l*C) patch gradient is never formed.  It needs no
 patches, so the backward pass forms dx apart from the patch blocks, in
 blocks of whole images written straight into their slice of dx.
 
+A training cache holds only what the backward pass reads: a matrix layer
+its input x and W (tt-fc the matrix TT of its chain and its forward sweep),
+max-pool each window's first maximal slot as a uint8 and the input shape,
+batch-norm xhat and inv_std, ReLU its mask, zero-pad the input shape.  The
+backward pass uses the caches up.  A matrix layer drops its own, and frees x
+once dW is summed, before it allocates dx.
+
 ``Network.backward`` only fills the parameter gradients.  Nothing reads the
 gradient of the network input, so the lowest parametrized layer skips its
 input gradient (``backward(dy, input_grad=False)``) and the layers below it
 are not called.  It then drops every layer's training cache, so the next
 forward pass does not hold the last step's activations next to its own.
+``train`` hands each batch to ``Network.forward`` as its only holder, which
+drops it once the first layer returns.
 """
 
 from __future__ import annotations
@@ -150,10 +159,11 @@ class _MatrixLayer(Layer):
     and its patches; here one block, a view of x.  The forward pass writes
     each block's ``patches @ W`` into its rows of y, and the backward pass
     walks the same blocks, summing each block's dW.  It then forms dx over
-    ``_sample_blocks(x)``, blocks of whole samples ``(samples, rows)``, each
-    written into its slice of dx by ``_input_grad`` (which a conv forms per
-    kernel offset instead of as ``dY W^T``).  The training cache is the input
-    x (held by reference, so it must not change before ``backward``) and W.
+    ``_sample_blocks(x.shape)``, blocks of whole samples ``(samples, rows)``,
+    each written into its slice of dx by ``_input_grad`` (which a conv forms
+    per kernel offset instead of as ``dY W^T``).  The training cache is the input
+    x (held by reference, so it must not change before ``backward``) and W;
+    ``backward`` drops it, and frees x once dW is summed.
     Subclasses supply ``_init_weights(channels, n_out, rng)``,
     ``weight_matrix()`` and ``weight_grads(dw)``: the weight parameters, W
     built from them, and their gradients given dL/dW.  Bias goes last.
@@ -191,7 +201,7 @@ class _MatrixLayer(Layer):
     def _patch_blocks(self, x):
         yield slice(None), slice(None), x.reshape(len(x), -1)
 
-    def _sample_blocks(self, x):
+    def _sample_blocks(self, shape):
         yield slice(None), slice(None)
 
     def _out_shape(self, x):
@@ -216,9 +226,9 @@ class _MatrixLayer(Layer):
         self._cache = (x, w) if train else None
         return y
 
-    def backward(self, dy, input_grad=True):
-        x, w = self._require_cache()
-        dy = dy.reshape(-1, w.shape[1])
+    def _weight_grad(self, x, dy):
+        """dL/dW, summed over the patch blocks of x.  The last block's patches
+        go when this returns, before ``backward`` allocates dx."""
         dw = None
         for _, rows, cols in self._patch_blocks(x):
             dy_b = dy[rows]
@@ -229,11 +239,20 @@ class _MatrixLayer(Layer):
             # 424 against 72 ms, dense-fc 4096 -> 4096, batch 8.
             g = (dy_b.T @ cols).T if len(cols) >= min(cols.shape[1], 64) else cols.T @ dy_b
             dw = g if dw is None else np.add(dw, g, out=dw)
+        return dw
+
+    def backward(self, dy, input_grad=True):
+        x, w = self._require_cache()
+        self._cache = None
+        in_shape = x.shape
+        dy = dy.reshape(-1, w.shape[1])
+        dw = self._weight_grad(x, dy)
+        del x  # nothing reads the input again, so it goes before dx is allocated
         self._set_grads(self.weight_grads(dw), dy)
         if not input_grad:
             return None
-        dx = np.zeros(x.shape)
-        for samples, rows in self._sample_blocks(x):
+        dx = np.zeros(in_shape)
+        for samples, rows in self._sample_blocks(in_shape):
             out = dx[samples]
             self._input_grad(dy[rows], w, out.shape, out)
         return dx
@@ -283,9 +302,9 @@ class _ConvLayer(_MatrixLayer):
             )
         self._check_not_empty(x)
 
-    def _split(self, x):
+    def _split(self, shape):
         """Images per block, and the output rows an image's blocks end at."""
-        _, w, h, c = x.shape
+        _, w, h, c = shape
         wo, ho = w - self.ell + 1, h - self.ell + 1
         fit = max(1, _BLOCK_BYTES // (8 * ho * self.ell * self.ell * c))  # output rows
         runs = -(-wo // fit)
@@ -294,7 +313,7 @@ class _ConvLayer(_MatrixLayer):
     def _patch_blocks(self, x):
         b, w, h, c = x.shape
         wo, ho, width = w - self.ell + 1, h - self.ell + 1, self.ell * self.ell * c
-        step, cuts = self._split(x)
+        step, cuts = self._split(x.shape)
         spans = [
             (s, min(s + step, b), r0, r1)
             for s in range(0, b, step)
@@ -308,10 +327,10 @@ class _ConvLayer(_MatrixLayer):
             cols = im2col_batch(xb, self.ell, out=buf[: n * width].reshape(n, width))
             yield slice(s0, s1), slice(start, start + n), cols
 
-    def _sample_blocks(self, x):
-        per_image = (x.shape[1] - self.ell + 1) * (x.shape[2] - self.ell + 1)
-        step, _ = self._split(x)
-        for s in range(0, len(x), step):
+    def _sample_blocks(self, shape):
+        per_image = (shape[1] - self.ell + 1) * (shape[2] - self.ell + 1)
+        step, _ = self._split(shape)
+        for s in range(0, shape[0], step):
             yield slice(s, s + step), slice(s * per_image, (s + step) * per_image)
 
     def _out_shape(self, x):
@@ -500,6 +519,7 @@ class TTDense(_ProposedTT, _MatrixLayer):
 
     def backward(self, dy, input_grad=True):
         chain, a, sweep, in_shape = self._require_cache()
+        self._cache = None
         dy = dy.reshape(dy.shape[0], -1)
         dx, dmats = ttm_batch_vjp(a, sweep, np.pad(dy, ((0, 0), (0, self.fact.pad_s))), input_grad)
         dg0, dcores = chain_ttmatrix_grad(chain, self.fact, dmats)
@@ -534,9 +554,10 @@ class MaxPool(Layer):
     window row, then over the three rows i.  Either keeps the earlier operand
     on ties, so y holds the bits of the first maximal slot in ``i*3 + j``
     order, and a window that holds a NaN pools to NaN.  Training caches the
-    input and output; the backward pass walks the slots in that order and
-    routes each output gradient to the first slot whose value equals the
-    output.  A NaN window routes no gradient.
+    input shape and, per window, the first slot whose value equals the
+    output, as a uint8 (``size * size`` for a NaN window, which equals no
+    slot); the backward pass routes each output gradient to that slot.  A NaN
+    window routes no gradient.
     """
 
     kind = "max-pool"
@@ -575,23 +596,31 @@ class MaxPool(Layer):
         y = rows[:, 0:span_x:s].copy()
         for i in range(1, k):
             np.maximum(rows[:, i : i + span_x : s], y, out=y)
-        self._cache = (x, y) if train else None
+        self._cache = (self._first_max(x, y), x.shape) if train else None
         return y
 
+    def _first_max(self, x, y):
+        """Per window, the first slot whose value equals y, as the count of
+        slots before it: ``size * size`` when none does (a NaN window)."""
+        slot = np.zeros(y.shape, dtype=np.uint8)
+        before = np.ones(y.shape, dtype=bool)  # no slot so far equals y
+        differs = np.empty(y.shape, dtype=bool)
+        for v in self._slots(x, y.shape):
+            np.not_equal(v, y, out=differs)
+            before &= differs
+            slot += before
+        return slot
+
     def backward(self, dy):
-        x, y = self._require_cache()
-        hits = np.empty((self.size * self.size,) + y.shape, dtype=bool)
-        free = np.ones(y.shape, dtype=bool)
-        for hit, v in zip(hits, self._slots(x, y.shape)):
-            np.equal(v, y, out=hit)
-            hit &= free
-            free ^= hit
+        slot, in_shape = self._require_cache()
         # adding the slots last to first sums the gradients a cell gets from
         # overlapping windows in window order, so dx is bitwise that of a
         # scatter-add over the windows
-        dx = np.zeros(x.shape)
-        grad = np.empty(y.shape)
-        for hit, dv in zip(hits[::-1], reversed(list(self._slots(dx, y.shape)))):
+        dx = np.zeros(in_shape)
+        hit = np.empty(dy.shape, dtype=bool)
+        grad = np.empty(dy.shape)
+        for k, dv in reversed(list(enumerate(self._slots(dx, dy.shape)))):
+            np.equal(slot, k, out=hit)
             np.multiply(dy, hit, out=grad)
             dv += grad
         return dx
@@ -630,7 +659,11 @@ class BatchNorm(Layer):
     """Batch normalization over all axes but the channel one.
 
     Training uses batch statistics; evaluation uses running averages kept with
-    momentum 0.9.  Epsilon is 1e-5.
+    momentum 0.9.  Epsilon is 1e-5.  Training caches xhat and inv_std.  Each
+    pass evaluates ``y = gamma * (x - mean) * inv_std + beta`` and its
+    gradient operation by operation, as the plain array expressions do (so to
+    the same bits), but into at most two full-size buffers: the centred x
+    squared gives the batch variance as ``x.var`` does, and later holds y.
     """
 
     kind = "batch-norm"
@@ -655,32 +688,45 @@ class BatchNorm(Layer):
         if x.shape[-1] != gamma.size:
             raise ShapeError(f"{self.kind} expects {gamma.size} channels, got {x.shape[-1]}")
         self._check_not_empty(x)
-        if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mean, var = self.running_mean, self.running_var
+        if not train:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            y = np.subtract(x, self.running_mean)
+            y *= inv_std
+            y *= gamma
+            y += beta
+            self._cache = None
+            return y
+        mean = x.mean(axis=axes)
+        xhat = np.subtract(x, mean)
+        y = np.multiply(xhat, xhat)
+        var = y.sum(axis=axes) / math.prod(x.shape[a] for a in axes)  # x.var(axis=axes)
+        self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
+        self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, axes) if train else None
-        return gamma * xhat + beta
+        xhat *= inv_std
+        np.multiply(gamma, xhat, out=y)
+        y += beta
+        self._cache = (xhat, inv_std, axes)
+        return y
 
     def backward(self, dy, input_grad=True):
         xhat, inv_std, axes = self._require_cache()
         gamma = self.params[0]
         n = math.prod(dy.shape[a] for a in axes)
-        self.grads[0][...] = (dy * xhat).sum(axis=axes)
+        buf = np.multiply(dy, xhat)
+        self.grads[0][...] = buf.sum(axis=axes)
         self.grads[1][...] = dy.sum(axis=axes)
         if not input_grad:
             return None
-        dxhat = dy * gamma
-        return inv_std * (
-            dxhat
-            - dxhat.mean(axis=axes)
-            - xhat * (dxhat * xhat).sum(axis=axes) / n
-        )
+        dx = np.multiply(dy, gamma)  # dxhat
+        mean = dx.mean(axis=axes)
+        np.multiply(dx, xhat, out=buf)
+        np.multiply(xhat, buf.sum(axis=axes), out=buf)
+        buf /= n
+        dx -= mean
+        dx -= buf
+        dx *= inv_std
+        return dx
 
 
 class ZeroPad(Layer):
@@ -768,7 +814,13 @@ class Network:
         return shape
 
     def forward(self, x, train=False):
+        """The network's output for the batch x.
+
+        Once the first layer returns, this call holds no reference to x, so a
+        caller that passes a batch it does not keep frees it there.
+        """
         out = np.asarray(x, dtype=np.float64)
+        del x
         if self.input_shape is None:
             raise ShapeError("network is not built")
         if out.shape[1:] != self.input_shape:
@@ -965,10 +1017,16 @@ class Dataset:
         return self.x_train.shape[1:]
 
 
+def _check_batch_size(caller, batch_size):
+    if batch_size < 1:
+        raise ShapeError(f"{caller}: batch_size must be at least 1, got {batch_size}")
+
+
 def evaluate(net: Network, x, targets, batch_size=256):
     """Mean accuracy in eval mode (running batch-norm statistics); the logits
     and targets are checked as the loss head checks them.  A set of no
-    samples is a ShapeError."""
+    samples, or a batch_size below 1, is a ShapeError."""
+    _check_batch_size("evaluate", batch_size)
     if len(x) == 0:
         raise ShapeError("evaluate got an empty set")
     correct = 0
@@ -985,9 +1043,12 @@ def train(net: Network, data: Dataset, opt: SGDMomentum, epochs, seed, batch_siz
     The seed fixes the shuffling order (initialization is fixed by whoever
     built the network).  Raises TrainingDiverged as soon as a batch loss is
     not finite, and a ShapeError naming the set if the training or the test
-    set holds no samples.  No local holds a batch's images, so the backward
-    pass holds only what the layers cache.
+    set holds no samples, or naming batch_size if it is below 1.  Each batch's
+    images go to ``Network.forward`` as its only holder, so they are freed
+    once the first layer returns, and the backward pass holds only what the
+    layers cache.
     """
+    _check_batch_size("train", batch_size)
     for name, x in (("training", data.x_train), ("test", data.x_test)):
         if len(x) == 0:
             raise ShapeError(f"train got an empty {name} set")
@@ -1002,7 +1063,8 @@ def train(net: Network, data: Dataset, opt: SGDMomentum, epochs, seed, batch_siz
         for start in range(0, n, batch_size):
             sel = perm[start : start + batch_size]
             yb = data.y_train[sel]
-            logits, loss = net.forward_loss(data.x_train[sel], yb, train=True)
+            logits = net.forward(data.x_train[sel], train=True)
+            loss = net.loss.forward(logits, yb, train=True)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
             net.backward()

@@ -4,8 +4,11 @@ import pytest
 from ttconv import data
 from ttconv.data import make_images, stripes_vs_blobs
 
-# The per-image generator that the batched one replaced, kept verbatim as the
-# oracle: the dataset is defined by its draw order and arithmetic.
+# The per-image generator that the batched one replaced, kept as the oracle:
+# the dataset is defined by its draw order and arithmetic.  Its image helpers
+# are verbatim; its loop is split into the draws, which do not depend on the
+# noise level, and the noise step ``image + noise * plane``, done per image in
+# the same order, so one set of draws serves every noise level.
 
 
 def _stripe(rng, size):
@@ -33,28 +36,48 @@ def _standardize(img):
     return img / max(img.std(), 1e-8)
 
 
-def oracle_make_images(n, size, noise, rng):
-    x = np.empty((n, size, size, 1))
+def oracle_draws(n, size, rng):
+    """The per-image generator's draws, which do not depend on the noise
+    level: standardized images, noise planes, labels and permutation."""
+    images = np.empty((n, size, size))
+    planes = np.empty((n, size, size))
     y = np.empty(n, dtype=np.int64)
     for i in range(n):
         label = i % 2
         img = _stripe(rng, size) if label == 0 else _blobs(rng, size)
-        img = _standardize(img) + noise * rng.standard_normal((size, size))
-        x[i, :, :, 0] = img
+        images[i] = _standardize(img)
+        planes[i] = rng.standard_normal((size, size))
         y[i] = label
-    perm = rng.permutation(n)
+    return images, planes, y, rng.permutation(n)
+
+
+def oracle_images(draws, noise):
+    """The per-image generator's (x, y) at one noise level, from its draws."""
+    images, planes, y, perm = draws
+    x = np.empty(images.shape + (1,))
+    for i in range(len(images)):
+        x[i, :, :, 0] = images[i] + noise * planes[i]
     return x[perm], y[perm]
 
 
-def assert_same_as_oracle(seed, n, size, noise):
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    x, y = make_images(n, size, noise, rng)
-    x_ref, y_ref = oracle_make_images(n, size, noise, oracle_rng)
-    assert x.shape == x_ref.shape == (n, size, size, 1)
-    assert np.array_equal(x.view(np.uint64), x_ref.view(np.uint64))
-    assert y.dtype == np.int64
-    assert np.array_equal(y, y_ref)
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+def oracle_make_images(n, size, noise, rng):
+    return oracle_images(oracle_draws(n, size, rng), noise)
+
+
+def assert_same_as_oracle(seed, n, size, noises):
+    """make_images at each noise level against the oracle, whose draws are
+    made once: x as uint64, y and the random state after the call."""
+    oracle_rng = np.random.default_rng(seed)
+    draws = oracle_draws(n, size, oracle_rng)
+    for noise in noises:
+        rng = np.random.default_rng(seed)
+        x, y = make_images(n, size, noise, rng)
+        x_ref, y_ref = oracle_images(draws, noise)
+        assert x.shape == x_ref.shape == (n, size, size, 1)
+        assert np.array_equal(x.view(np.uint64), x_ref.view(np.uint64))
+        assert y.dtype == np.int64
+        assert np.array_equal(y, y_ref)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestBitwiseEqualToPerImage:
@@ -65,16 +88,15 @@ class TestBitwiseEqualToPerImage:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 513, 2000])
     @pytest.mark.parametrize("seed", range(10))
     def test_make_images(self, seed, n, size):
-        for noise in (0, 1, 2.5, -1.5):
-            assert_same_as_oracle(seed, n, size, noise)
+        assert_same_as_oracle(seed, n, size, (0, 1, 2.5, -1.5))
 
     def test_blocks_of_one_and_odd_starts(self, monkeypatch):
         # 3 images of 4 x 4 per block: blocks start on odd images too
         monkeypatch.setattr(data, "_BLOCK_PIXELS", 3 * 16)
-        assert_same_as_oracle(5, 10, 4, 1.0)
+        assert_same_as_oracle(5, 10, 4, [1.0])
         # fewer pixels than one image: one image per block
         monkeypatch.setattr(data, "_BLOCK_PIXELS", 1)
-        assert_same_as_oracle(6, 9, 5, 1.0)
+        assert_same_as_oracle(6, 9, 5, [1.0])
 
     def test_stripes_vs_blobs_split(self):
         ds = stripes_vs_blobs(n_train=40, n_test=12, size=8, noise=0.5, seed=3)

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -684,6 +685,7 @@ class TestSkippedInputGradient:
         full = [g.copy() for g in layer.grads]
         for g in layer.grads:
             g[...] = 0.0
+        layer.forward(x, train=True)  # a matrix layer's backward uses up its cache
         assert layer.backward(dy, input_grad=False) is None
         for g, ref in zip(layer.grads, full):
             assert np.array_equal(g, ref)
@@ -1364,20 +1366,28 @@ class TestTrainingStepMemory:
         )
         net = Network([ZeroPad(1), Conv2D(3, 4), ReLU(), Dense(2)])
         net.build((6, 6, 2), np.random.default_rng(3))
-        batches, alive = [], []
-        forward_loss, backward = net.forward_loss, net.backward
+        batches, alive, alive_at_layer_1 = [], [], []
+        forward, backward, conv_forward = net.forward, net.backward, net.layers[1].forward
 
-        def forward_loss_spy(x, targets, train=False):
+        def forward_spy(x, train=False):
             batches.append(weakref.ref(x))
-            return forward_loss(x, targets, train)
+            held = [x]
+            del x
+            return forward(held.pop(), train)  # the spy keeps no reference
+
+        def conv_forward_spy(x, train=False):
+            alive_at_layer_1.append(batches[-1]() is not None)
+            return conv_forward(x, train)
 
         def backward_spy():
             alive.append(batches[-1]() is not None)
             backward()
 
-        net.forward_loss, net.backward = forward_loss_spy, backward_spy
+        net.forward, net.backward = forward_spy, backward_spy
+        net.layers[1].forward = conv_forward_spy
         train(net, data, SGDMomentum(lr=0.01), epochs=1, seed=0, batch_size=2)
         assert alive == [False, False]
+        assert alive_at_layer_1[:2] == [False, False]
 
 
 class TestBlockedPatchMemory:
@@ -1464,3 +1474,132 @@ class TestEmptyBatch:
         net.build(data.input_shape, np.random.default_rng(0))
         with pytest.raises(ShapeError, match=f"^train got an empty {empty} set$"):
             train(net, data, SGDMomentum(lr=0.01), epochs=1, seed=0, batch_size=4)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+class TestBatchSizeBelowOne:
+    """A batch_size below 1 is a ShapeError naming it, raised before any epoch."""
+
+    def test_evaluate(self, batch_size):
+        data = tiny_dataset(np.random.default_rng(0), n_train=1, n_test=4)
+        net = tiny_net()
+        net.build(data.input_shape, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=f"^evaluate: batch_size must be at least 1, got {batch_size}$"):
+            evaluate(net, data.x_test, data.y_test, batch_size=batch_size)
+
+    def test_train(self, batch_size):
+        data = tiny_dataset(np.random.default_rng(0), n_train=8, n_test=4)
+        net = tiny_net()
+        net.build(data.input_shape, np.random.default_rng(0))
+        before = net.get_params()
+        with pytest.raises(ShapeError, match=f"^train: batch_size must be at least 1, got {batch_size}$"):
+            train(net, data, SGDMomentum(lr=0.01), epochs=1, seed=0, batch_size=batch_size)
+        assert np.array_equal(net.get_params(), before)
+
+
+class TestStepHoldsWhatBackwardReads:
+    """A training step holds the activations its backward pass reads, and
+    little more: each batch goes once its first layer returns, max-pool caches
+    a slot index, a matrix layer frees its input before it allocates dx, and
+    batch-norm works in two full-size buffers."""
+
+    B = 4
+    ACT = B * 32 * 32 * 64 * 8  # one 32 x 32 x 64 activation of the batch
+    PADDED = B * 34 * 34 * 64 * 8
+
+    def test_paper_net_shaped_step_peak(self, monkeypatch):
+        net = Network([ZeroPad(1), Conv2D(3, 64), BatchNorm(), ReLU(), ZeroPad(1),
+                       Conv2D(3, 64), ReLU(), MaxPool(), Dense(2)])
+        net.build((32, 32, 64), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        data = Dataset(rng.standard_normal((self.B, 32, 32, 64)), np.arange(self.B) % 2,
+                       rng.standard_normal((1, 32, 32, 64)), np.array([0]))
+        monkeypatch.setattr(nn, "evaluate", lambda *args, **kwargs: 0.0)
+        opt = SGDMomentum(lr=0.01)
+        train(net, data, opt, epochs=1, seed=0, batch_size=self.B)  # momentum buffers
+        tracemalloc.start()
+        try:
+            train(net, data, opt, epochs=1, seed=1, batch_size=self.B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the upper conv's backward: both convs' padded inputs, batch-norm's
+        # xhat, the gradient, the ReLU masks and one block of patches
+        assert peak <= 2 * self.PADDED + 2.5 * self.ACT + nn._BLOCK_BYTES
+
+    def test_maxpool_keeps_no_reference_to_its_input(self):
+        layer = MaxPool()
+        layer.build((7, 7, 2), None)
+        x = np.random.default_rng(0).standard_normal((2, 7, 7, 2))
+        ref = np.array(x)
+        alive = weakref.ref(x)
+        y = layer.forward(x, train=True)
+        del x
+        assert alive() is None
+        dy = np.random.default_rng(1).standard_normal(y.shape)
+        assert np.array_equal(_bits(layer.backward(dy)), _bits(_maxpool_oracle(ref, dy)[1]))
+
+    def test_matrix_layer_frees_its_input_before_forming_dx(self):
+        layer = Conv2D(3, 8)
+        layer.build((18, 18, 32), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((4, 18, 18, 32))
+        alive = weakref.ref(x)
+        y = layer.forward(x, train=True)
+        del x
+        freed = []
+
+        def input_grad(*args, call=layer._input_grad):
+            freed.append(alive() is None)
+            return call(*args)
+
+        layer._input_grad = input_grad
+        layer.backward(np.ones(y.shape))
+        assert freed and all(freed)
+        assert layer._cache is None
+
+
+def _batchnorm_oracle(layer, x, dy, train):
+    """The batch-norm expressions as plain array arithmetic: y, dx, dgamma,
+    dbeta and the running statistics."""
+    axes = tuple(range(x.ndim - 1))
+    gamma, beta = layer.params
+    running_mean, running_var = layer.running_mean, layer.running_var
+    if train:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean = layer.momentum * running_mean + (1 - layer.momentum) * mean
+        running_var = layer.momentum * running_var + (1 - layer.momentum) * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    xhat = (x - mean) * inv_std
+    y = gamma * xhat + beta
+    n = math.prod(dy.shape[a] for a in axes)
+    dxhat = dy * gamma
+    dx = inv_std * (dxhat - dxhat.mean(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes) / n)
+    return y, dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes), running_mean, running_var
+
+
+class TestBatchNormSameBits:
+    """BatchNorm's buffered passes give bitwise (uint64 views) the plain
+    expressions' output, input and parameter gradients and running statistics."""
+
+    @pytest.mark.parametrize("shape", [(8, 32, 32, 64), (3, 5, 4, 3), (1, 1, 1, 2), (7, 6), (1, 9)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_train_and_eval(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        layer = BatchNorm()
+        layer.build(shape[1:], rng)
+        layer.params[0][...] = rng.uniform(0.5, 2.0, shape[-1])
+        layer.params[1][...] = rng.standard_normal(shape[-1])
+        for _ in range(2):
+            layer.forward(rng.uniform(-3, 5) + 2 * rng.standard_normal(shape), train=True)
+        x = rng.uniform(-3, 5) + rng.uniform(0.1, 4) * rng.standard_normal(shape)
+        dy = rng.standard_normal(shape)
+        want = _batchnorm_oracle(layer, x, dy, train=False)
+        assert np.array_equal(_bits(layer.forward(x)), _bits(want[0]))
+        want = _batchnorm_oracle(layer, x, dy, train=True)
+        got = [layer.forward(x, train=True), layer.backward(dy)] + layer.grads
+        got += [layer.running_mean, layer.running_var]
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(_bits(a), _bits(b))
