@@ -23,6 +23,7 @@ from .config import (
     parse_factors,
     parse_int_list,
 )
+from .conv import check_kernel
 from .errors import FormatError, ShapeError, SizeError, TrainingDiverged
 from .kernels import (
     TTConvKernel,
@@ -84,9 +85,7 @@ def cmd_decompose(args):
         compressed, recon = tt_param_count(ttm.tt), ttm_full(ttm)
         tio.save_ttmatrix(args.output, ttm, dtype=args.dtype)
     elif args.mode == "ttconv":
-        if a.ndim != 4:
-            raise ShapeError(f"ttconv mode needs an l x l x C x S kernel, got {a.ndim} dims")
-        c_in, s_out = a.shape[2], a.shape[3]
+        c_in, s_out = check_kernel(a).shape[2:]
         if args.factors:
             fact = fit_factorization(parse_factors(args.factors), c_in, s_out)
         else:
@@ -95,8 +94,6 @@ def cmd_decompose(args):
         compressed, recon = tk.param_count, ttconv_to_dense(tk)
         tio.save_ttconv(args.output, tk, dtype=args.dtype)
     else:  # ttconv-naive
-        if a.ndim != 4:
-            raise ShapeError(f"ttconv-naive mode needs a 4-way kernel, got {a.ndim} dims")
         nk = naive_ttconv_from_dense(a, max_ranks=ranks, tol=tol)
         compressed, recon = nk.param_count, naive_ttconv_to_dense(nk)
         tio.save_tt(args.output, nk.tt, dtype=args.dtype)

@@ -12,6 +12,9 @@ The batched patch matrix that training runs on (``im2col_batch``) orders its
 columns channels fastest instead, ``(i * l + j) * C + c``: the C-order
 flattening of an ``(l, l, C, S)`` kernel, so ``k.reshape(-1, S)`` is its
 weight matrix and each patch is copied as contiguous runs of C channels.
+
+``check_kernel`` is the one check that an array is an l x l x C x S kernel,
+for every function of the package that takes a dense kernel.
 """
 
 from __future__ import annotations
@@ -22,18 +25,29 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ShapeError
 
 
-def _check_conv_shapes(x: np.ndarray, k: np.ndarray):
+def check_kernel(k) -> np.ndarray:
+    """``k`` as a float64 array, once it is an l x l x C x S kernel."""
+    k = np.asarray(k, dtype=np.float64)
+    if k.ndim != 4 or k.shape[0] != k.shape[1]:
+        raise ShapeError(f"kernel must be l x l x C x S, got shape {k.shape}")
+    return k
+
+
+def _check_image(x) -> np.ndarray:
+    """``x`` as a float64 array, once it is a W x H x C image."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"input must be W x H x C, got {x.ndim} dimensions")
-    if k.ndim != 4:
-        raise ShapeError(f"kernel must be l x l x C x S, got {k.ndim} dimensions")
-    if k.shape[0] != k.shape[1]:
-        raise ShapeError(f"filter must be square, got {k.shape[:2]}")
+    return x
+
+
+def _check_conv_shapes(x, k):
+    """``(x, k)`` as float64 arrays, once k can convolve the W x H x C input x."""
+    x, k = _check_image(x), check_kernel(k)
     if k.shape[2] != x.shape[2]:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, kernel {k.shape[2]}")
-    ell = k.shape[0]
-    if ell > min(x.shape[0], x.shape[1]):
-        raise ShapeError(f"filter size {ell} exceeds input dims {x.shape[:2]}")
+    im2col_shape((1,) + x.shape, k.shape[0])
+    return x, k
 
 
 def conv2d_direct(x, k) -> np.ndarray:
@@ -41,9 +55,7 @@ def conv2d_direct(x, k) -> np.ndarray:
 
     Y[x, y, s] = sum_{i,j,c} K[i, j, c, s] * X[x+i, y+j, c].
     """
-    x = np.asarray(x, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    _check_conv_shapes(x, k)
+    x, k = _check_conv_shapes(x, k)
     ell = k.shape[0]
     wo = x.shape[0] - ell + 1
     ho = x.shape[1] - ell + 1
@@ -119,9 +131,7 @@ def im2col(x, ell: int) -> np.ndarray:
     Row ``x + W'*y`` holds the patch for pixel (x, y); column
     ``i + l*j + l*l*c`` holds X[x+i, y+j, c].
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"input must be W x H x C, got {x.ndim} dimensions")
+    x = _check_image(x)
     cols = im2col_batch(x[None], ell)
     # batch rows run y fastest and columns c fastest; reverse both orders
     wo, ho, c = x.shape[0] - ell + 1, x.shape[1] - ell + 1, x.shape[2]
@@ -131,9 +141,7 @@ def im2col(x, ell: int) -> np.ndarray:
 
 def kernel_to_matrix(k) -> np.ndarray:
     """Kernel as an (l*l*C, S) matrix: row i + l*j + l*l*c holds K[i, j, c, :]."""
-    k = np.asarray(k, dtype=np.float64)
-    if k.ndim != 4 or k.shape[0] != k.shape[1]:
-        raise ShapeError(f"kernel must be l x l x C x S, got shape {k.shape}")
+    k = check_kernel(k)
     ell, _, c, s = k.shape
     return np.ascontiguousarray(k.transpose(2, 1, 0, 3)).reshape(ell * ell * c, s)
 
@@ -153,9 +161,7 @@ def matrix_to_kernel(mat, ell: int, channels: int) -> np.ndarray:
 
 def conv2d_gemm(x, k) -> np.ndarray:
     """Convolution as one matrix product of batched patches and the flattened kernel."""
-    x = np.asarray(x, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    _check_conv_shapes(x, k)
+    x, k = _check_conv_shapes(x, k)
     ell = k.shape[0]
     y_mat = im2col_batch(x[None], ell) @ k.reshape(-1, k.shape[3])
     return y_mat.reshape(x.shape[0] - ell + 1, x.shape[1] - ell + 1, k.shape[3])

@@ -27,7 +27,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .kernels import ChannelFactorization, TTConvKernel, _kernel_cores
+from .kernels import ChannelFactorization, TTConvKernel, _kernel_cores, kernel_layout
 from .tt import TTTensor
 from .ttmatrix import TTMatrix
 
@@ -217,8 +217,7 @@ def load_ttconv(path) -> TTConvKernel:
         if ranks[0] != 1:  # implicit in TTConvKernel, so only the file can get it wrong
             raise FormatError("boundary TT-ranks must equal 1")
         fact = _construct(ChannelFactorization, c_factors, s_factors, pad_c, pad_s)
-        modes = (ell * ell,) + tuple(c * s for c, s in zip(c_factors, s_factors))
-        chain = _read_cores(f, modes, ranks, np_dtype)
+        chain = _read_cores(f, kernel_layout(ell, fact).modes, ranks, np_dtype)
         return _construct(TTConvKernel, ell, fact, *_kernel_cores(chain, ell, fact))
 
 

@@ -5,10 +5,14 @@ A TT weight is a chain of 3-D cores plus a layout, and ``KernelLayout`` is
 the one place a layout lives: it says where the chain's entries sit in the
 (l, l, C, S) kernel.  Its pair of maps gives the kernel matrix W as
 ``layout.matrix(tt_chain(chain))`` and the cores' gradients given dL/dW as
-``tt_chain_grad(chain, layout.entries(dW))``; a dense kernel decomposes as
-``tt_svd(layout.entries(kernel))``.  Every function here that builds,
-differentiates, decomposes or reconstructs a kernel goes through that pair,
-and so do the TT layers of ``nn``.
+``tt_chain_grad(chain, layout.entries(dW))``; a dense kernel, once
+``conv.check_kernel`` passes it, decomposes as ``tt_svd(layout.entries(kernel))``.
+Every function here that builds, decomposes or reconstructs a kernel goes
+through that pair, and the TT layers of ``nn`` build W and its gradient
+through it (``weight_matrix`` and ``weight_grads``, the one route that
+differentiates a kernel).  The cores of a 1x1 kernel also map to a matrix TT
+(``cores_ttmatrix``, with its VJP ``cores_ttmatrix_grad``): tt-fc's route,
+which never forms W.
 
 The proposed form (``kernel_layout``) factorizes channels as
 ``C = prod(C_k)`` and ``S = prod(S_k)`` (padding with zero channels when
@@ -39,9 +43,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conv import conv2d_direct, conv2d_gemm
+from .conv import check_kernel, conv2d_direct, conv2d_gemm
 from .errors import ShapeError
-from .tt import TTTensor, tt_chain, tt_chain_grad, tt_param_count, tt_svd
+from .tt import TTTensor, tt_chain, tt_param_count, tt_svd
 from .ttmatrix import TTMatrix
 
 
@@ -199,8 +203,8 @@ class KernelLayout(NamedTuple):
         return kernel.transpose(np.argsort(self.axes)).reshape(self.modes)
 
 
-def kernel_layout(ell, fact: ChannelFactorization, channels=None) -> KernelLayout:
-    """The proposed form's layout, real input channels ``channels`` (default all).
+def kernel_layout(ell, fact: ChannelFactorization) -> KernelLayout:
+    """The proposed form's layout.
 
     Digits (y, x, c_1, s_1, ..., c_d, s_d), ordered as the padded kernel's
     (x, y, c_d..c_1, s_d..s_1), over modes (l*l, C_1*S_1, ..., C_d*S_d)."""
@@ -209,7 +213,7 @@ def kernel_layout(ell, fact: ChannelFactorization, channels=None) -> KernelLayou
     digits = (ell, ell) + tuple(f for pair in zip(fact.c_factors, fact.s_factors) for f in pair)
     axes = (1, 0) + tuple(range(2 * d, 0, -2)) + tuple(range(2 * d + 1, 1, -2))
     padded = (ell, ell, fact.c_padded, fact.s_padded)
-    shape = (ell, ell, channels or fact.channels_in, fact.channels_out)
+    shape = (ell, ell, fact.channels_in, fact.channels_out)
     return KernelLayout(modes, digits, axes, padded, shape)
 
 
@@ -262,9 +266,7 @@ class TTConvKernel:
 
 def ttconv_from_dense(kernel, fact: ChannelFactorization, max_ranks=None, tol=None) -> TTConvKernel:
     """Decompose a dense l x l x C x S kernel into the proposed TT form."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
-        raise ShapeError(f"kernel must be l x l x C x S, got shape {kernel.shape}")
+    kernel = check_kernel(kernel)
     if kernel.shape[2] != fact.channels_in or kernel.shape[3] != fact.channels_out:
         raise ShapeError(
             f"kernel channels {kernel.shape[2:]} do not match factorization "
@@ -295,23 +297,6 @@ def _kernel_cores(chain, ell, fact: ChannelFactorization):
     return g0, cores
 
 
-def ttconv_matrix(g0, cores, fact: ChannelFactorization, channels: int) -> np.ndarray:
-    """Kernel matrix of cores ``g0`` (l, l, r_1) and (r_k, C_k, S_k, r_{k+1}).
-
-    The (l, l, channels, S) kernel of the first ``channels`` input channels
-    and the real output channels, flattened in C order to (l*l*channels, S):
-    the weight matrix of ``im2col_batch`` patches.
-    """
-    return kernel_layout(g0.shape[0], fact, channels).matrix(tt_chain(_chain_cores(g0, cores)))
-
-
-def ttconv_matrix_grad(g0, cores, fact: ChannelFactorization, dmat):
-    """Gradients (dg0, dcores) of ``sum(dmat * ttconv_matrix(g0, cores, fact, C))``."""
-    ell = g0.shape[0]
-    dfull = kernel_layout(ell, fact).entries(dmat)
-    return _kernel_cores(tt_chain_grad(_chain_cores(g0, cores), dfull), ell, fact)
-
-
 def ttconv_to_dense(tk: TTConvKernel) -> np.ndarray:
     """Materialize the dense kernel and strip dummy channels."""
     layout = kernel_layout(tk.ell, tk.fact)
@@ -323,14 +308,14 @@ def ttconv_forward(x, tk: TTConvKernel) -> np.ndarray:
     return conv2d_gemm(x, ttconv_to_dense(tk))
 
 
-def chain_ttmatrix(chain, fact: ChannelFactorization) -> TTMatrix:
-    """The per-pixel linear map of a 1x1 kernel's chain as a matrix in TT format.
+def cores_ttmatrix(g0, cores, fact: ChannelFactorization) -> TTMatrix:
+    """The per-pixel linear map of the 1x1 kernel (g0, cores) as a matrix in TT format.
 
+    ``g0`` is (1, 1, r1) and the channel cores are (r_k, C_k, S_k, r_{k+1}).
     Returns the (S_padded x C_padded) matrix mapping input channels to output
     channels, with the spatial core absorbed into the first channel core and
     each (c_k, s_k) mode taken as (s_k, c_k).
     """
-    g0, cores = _one_by_one_cores(chain, fact)
     first = np.tensordot(g0[0, 0], cores[0], axes=(0, 0))  # (C1, S1, r2)
     mats = [first.transpose(1, 0, 2).reshape(1, -1, cores[0].shape[3])]
     for core in cores[1:]:
@@ -339,14 +324,13 @@ def chain_ttmatrix(chain, fact: ChannelFactorization) -> TTMatrix:
     return TTMatrix(TTTensor(mats), fact.s_factors, fact.c_factors)
 
 
-def chain_ttmatrix_grad(chain, fact: ChannelFactorization, dcores):
-    """Gradients (dg0, [dG_k]) of the 1x1 kernel of ``chain`` given the gradients
-    ``dcores`` of the cores of ``chain_ttmatrix(chain, fact)``: that map's VJP.
+def cores_ttmatrix_grad(g0, cores, fact: ChannelFactorization, dcores):
+    """Gradients (dg0, [dG_k]) of the 1x1 kernel (g0, cores) given the gradients
+    ``dcores`` of the cores of ``cores_ttmatrix(g0, cores, fact)``: that map's VJP.
 
     Each (s_k, c_k) mode goes back to (c_k, s_k), and the first core's
     gradient is split between the spatial core and channel core 1.
     """
-    g0, cores = _one_by_one_cores(chain, fact)
     dchan = [
         g.reshape(g.shape[0], sk, ck, g.shape[2]).transpose(0, 2, 1, 3)
         for g, ck, sk in zip(dcores, fact.c_factors, fact.s_factors)
@@ -357,20 +341,20 @@ def chain_ttmatrix_grad(chain, fact: ChannelFactorization, dcores):
     return dg0, dchan
 
 
-def _one_by_one_cores(chain, fact: ChannelFactorization):
-    if chain[0].shape[1] != 1:
+def _one_by_one(tk: TTConvKernel):
+    if tk.ell != 1:
         raise ShapeError("per-pixel matrix form requires a 1x1 kernel")
-    return _kernel_cores(chain, 1, fact)
+    return tk.g0, tk.cores, tk.fact
 
 
 def ttconv_to_ttmatrix(tk: TTConvKernel) -> TTMatrix:
-    """``chain_ttmatrix`` of a 1x1 TT kernel."""
-    return chain_ttmatrix(tk.tt.cores, tk.fact)
+    """``cores_ttmatrix`` of a 1x1 TT kernel."""
+    return cores_ttmatrix(*_one_by_one(tk))
 
 
 def ttconv_to_ttmatrix_grad(tk: TTConvKernel, dcores):
-    """``chain_ttmatrix_grad`` of a 1x1 TT kernel."""
-    return chain_ttmatrix_grad(tk.tt.cores, tk.fact, dcores)
+    """``cores_ttmatrix_grad`` of a 1x1 TT kernel."""
+    return cores_ttmatrix_grad(*_one_by_one(tk), dcores)
 
 
 def ttconv_core_shapes(ell: int, fact: ChannelFactorization, ranks) -> list:
@@ -414,9 +398,7 @@ class NaiveTTConvKernel:
 
 
 def naive_ttconv_from_dense(kernel, max_ranks=None, tol=None) -> NaiveTTConvKernel:
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 4 or kernel.shape[0] != kernel.shape[1]:
-        raise ShapeError(f"kernel must be l x l x C x S, got shape {kernel.shape}")
+    kernel = check_kernel(kernel)
     entries = naive_layout(kernel.shape).entries(kernel)
     return NaiveTTConvKernel(tt_svd(entries, max_ranks=max_ranks, tol=tol))
 

@@ -7,11 +7,14 @@ parametrized layer's training cache holds that batch by reference, so it must
 not be modified between the two calls, and one backward call uses the cache
 up.  A parametrized layer checks that its input has the per-sample size it
 was built for (channels for a convolution, features for a fully-connected
-layer) and at least one sample, and raises a ShapeError otherwise.  All
-parametrized layers share one body, ``y = patches @ W + b``, and differ only
-in how the weight matrix W is built from their parameters.  A convolution's
-patches are in ``im2col_batch``'s channels-fastest order, so its W is the
-(l, l, C, S) kernel flattened in C order.
+layer) and at least one sample, and raises a ShapeError otherwise.  A spatial
+layer (a conv, a pool or zero-pad) built on a sample shape that is not
+W x H x C, such as the output of a fully-connected layer, raises a
+ShapeError naming that shape.  All parametrized layers share one body,
+``y = patches @ W + b``, and differ only in how the weight matrix W is built
+from their parameters: the dense kinds hold W itself, reshaped.  A
+convolution's patches are in ``im2col_batch``'s channels-fastest order, so
+its W is the (l, l, C, S) kernel flattened in C order.
 
 The three TT kinds share one weight, ``_TTWeight``: a chain of 3-D cores,
 viewed per call from the layer's parameters, plus its layout, a
@@ -19,8 +22,8 @@ viewed per call from the layer's parameters, plus its layout, a
 entries sit in W.  W is ``layout.matrix(tt_chain(chain))``, rebuilt on every
 forward pass, and dL/dW goes back to the cores as
 ``tt_chain_grad(chain, layout.entries(dW))``.  ``TTDense`` is the exception:
-it computes ``Y = X W`` through the matrix TT of its chain
-(``kernels.chain_ttmatrix``) one core at a time (``ttmatrix.ttm_batch``) and
+it computes ``Y = X W`` through the matrix TT of its cores
+(``kernels.cores_ttmatrix``) one core at a time (``ttmatrix.ttm_batch``) and
 never forms W.
 
 The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
@@ -67,9 +70,9 @@ from .errors import FormatError, ShapeError, SizeError, TrainingDiverged
 from .kernels import (
     _chain_cores,
     _kernel_cores,
-    chain_ttmatrix,
-    chain_ttmatrix_grad,
     compression_ratio,
+    cores_ttmatrix,
+    cores_ttmatrix_grad,
     factorize_channels,
     fit_factorization,
     kernel_layout,
@@ -122,6 +125,12 @@ class Layer:
     def backward(self, dy):
         raise NotImplementedError
 
+    def _spatial(self, in_shape):
+        """The per-sample ``in_shape`` of a spatial layer, once it is W x H x C."""
+        if len(in_shape) != 3:
+            raise ShapeError(f"{self.kind} expects W x H x C samples, got shape {tuple(in_shape)}")
+        return in_shape
+
     def _check_not_empty(self, x):
         if len(x) == 0:
             raise ShapeError(f"{self.kind} got an empty batch")
@@ -164,9 +173,11 @@ class _MatrixLayer(Layer):
     per kernel offset instead of as ``dY W^T``).  The training cache is the input
     x (held by reference, so it must not change before ``backward``) and W;
     ``backward`` drops it, and frees x once dW is summed.
-    Subclasses supply ``_init_weights(channels, n_out, rng)``,
-    ``weight_matrix()`` and ``weight_grads(dw)``: the weight parameters, W
-    built from them, and their gradients given dL/dW.  Bias goes last.
+    A subclass supplies ``_init_weights(channels, n_out, rng)``, its weight
+    parameters; bias goes last.  ``weight_matrix()`` is then the first
+    parameter reshaped to ``weight_shape``, and ``weight_grads(dw)`` gives
+    dL/dW back in its shape.  Only a TT weight (``_TTWeight``) builds W and
+    its gradients another way.
     """
 
     ell = 1
@@ -184,6 +195,12 @@ class _MatrixLayer(Layer):
 
     def _weights(self):
         return self.params[:-1] if self.with_bias else self.params
+
+    def weight_matrix(self):
+        return self.params[0].reshape(self.weight_shape)
+
+    def weight_grads(self, dw):
+        return [dw.reshape(self.params[0].shape)]
 
     def build(self, in_shape, rng):
         self.in_features = math.prod(in_shape)
@@ -207,12 +224,10 @@ class _MatrixLayer(Layer):
     def _out_shape(self, x):
         return (len(x), self.out_features)
 
-    def _input_grad(self, dy, w, in_shape, out=None):
-        """dx of the samples whose output gradients are ``dy``, written into
-        ``out`` (zeros of ``in_shape``; a new array by default) and returned."""
-        out = np.empty(in_shape) if out is None else out
+    def _input_grad(self, dy, w, out):
+        """Write dx of the samples whose output gradients are ``dy`` into
+        ``out``, zeros of their input shape."""
         np.matmul(dy, w.T, out=out.reshape(len(dy), -1))
-        return out
 
     def forward(self, x, train=False):
         self._check_input(x)
@@ -253,8 +268,7 @@ class _MatrixLayer(Layer):
             return None
         dx = np.zeros(in_shape)
         for samples, rows in self._sample_blocks(in_shape):
-            out = dx[samples]
-            self._input_grad(dy[rows], w, out.shape, out)
+            self._input_grad(dy[rows], w, dx[samples])
         return dx
 
     def _set_grads(self, weight_grads, dy):
@@ -287,9 +301,8 @@ class _ConvLayer(_MatrixLayer):
         self.with_bias = bias
 
     def build(self, in_shape, rng):
-        w, h, c = in_shape
-        if self.ell > min(w, h):
-            raise ShapeError(f"filter {self.ell} exceeds input dims ({w}, {h})")
+        w, h, c = self._spatial(in_shape)
+        im2col_shape((1, w, h, c), self.ell)  # its ShapeError for a filter larger than the input
         self.in_channels = c
         self._build(c, self.out_channels, rng)
         return (w - self.ell + 1, h - self.ell + 1, self.out_channels)
@@ -337,17 +350,15 @@ class _ConvLayer(_MatrixLayer):
         b, w, h, _ = x.shape
         return (b, w - self.ell + 1, h - self.ell + 1, self.out_channels)
 
-    def _input_grad(self, dy, w, in_shape, out=None):
-        """``col2im_batch(dy @ w.T, l, in_shape)`` without the patch gradient:
-        offset (i, j) adds ``dY @ K[i, j]^T`` into the pixels it reads, in
-        col2im_batch's (i, j) order, so ``out`` must hold zeros."""
-        b, w_in, h_in, c = in_shape
+    def _input_grad(self, dy, w, out):
+        """``col2im_batch(dy @ w.T, l, out.shape)`` added into ``out`` without
+        the patch gradient: offset (i, j) adds ``dY @ K[i, j]^T`` into the
+        pixels it reads, in col2im_batch's (i, j) order."""
+        b, w_in, h_in, c = out.shape
         wo, ho = w_in - self.ell + 1, h_in - self.ell + 1
-        dx = np.zeros(in_shape) if out is None else out
         for k, kernel in enumerate(w.reshape(self.ell * self.ell, c, -1)):
             i, j = divmod(k, self.ell)
-            dx[:, i : i + wo, j : j + ho, :] += (dy @ kernel.T).reshape(b, wo, ho, c)
-        return dx
+            out[:, i : i + wo, j : j + ho, :] += (dy @ kernel.T).reshape(b, wo, ho, c)
 
 
 class Conv2D(_ConvLayer):
@@ -358,12 +369,6 @@ class Conv2D(_ConvLayer):
     def _init_weights(self, channels, n_out, rng):
         std = math.sqrt(2.0 / (self.ell * self.ell * channels))
         return [std * rng.standard_normal((self.ell, self.ell, channels, n_out))]
-
-    def weight_matrix(self):
-        return self.params[0].reshape(self.weight_shape)
-
-    def weight_grads(self, dw):
-        return [dw.reshape(self.params[0].shape)]
 
 
 def _scaled_tt_init(rng, shapes, fan_in):
@@ -480,19 +485,13 @@ class Dense(_MatrixLayer):
         std = math.sqrt(2.0 / channels)
         return [std * rng.standard_normal((channels, n_out))]
 
-    def weight_matrix(self):
-        return self.params[0]
-
-    def weight_grads(self, dw):
-        return [dw]
-
 
 class TTDense(_ProposedTT, _MatrixLayer):
     """Fully-connected layer with the weight matrix in TT form.
 
     The weights are those of a 1x1 TT convolution over the flattened input's
     features, whose kernel matrix is the matrix-TT product.  The forward pass
-    runs ``ttm_batch`` on that matrix TT (``chain_ttmatrix`` of its chain: the
+    runs ``ttm_batch`` on that matrix TT (``cores_ttmatrix`` of its cores: the
     spatial core absorbed into the first channel core), with the padded input
     channels of X zero-filled and the padded output channels sliced off Y, so
     W is never formed; the backward pass reuses the sweep.
@@ -505,8 +504,8 @@ class TTDense(_ProposedTT, _MatrixLayer):
 
     def forward(self, x, train=False):
         self._check_input(x)
-        chain = self._chain()
-        a = chain_ttmatrix(chain, self.fact)
+        g0, *cores = self._weights()
+        a = cores_ttmatrix(g0, cores, self.fact)
         cols = x.reshape(x.shape[0], -1)
         if self.fact.pad_c:
             cols = np.pad(cols, ((0, 0), (0, self.fact.pad_c)))
@@ -514,15 +513,16 @@ class TTDense(_ProposedTT, _MatrixLayer):
         y = y[:, : self.out_features]
         if self.with_bias:
             y = y + self.params[-1]
-        self._cache = (chain, a, sweep, x.shape) if train else None
+        self._cache = (a, sweep, x.shape) if train else None
         return y
 
     def backward(self, dy, input_grad=True):
-        chain, a, sweep, in_shape = self._require_cache()
+        a, sweep, in_shape = self._require_cache()
         self._cache = None
         dy = dy.reshape(dy.shape[0], -1)
         dx, dmats = ttm_batch_vjp(a, sweep, np.pad(dy, ((0, 0), (0, self.fact.pad_s))), input_grad)
-        dg0, dcores = chain_ttmatrix_grad(chain, self.fact, dmats)
+        g0, *cores = self._weights()
+        dg0, dcores = cores_ttmatrix_grad(g0, cores, self.fact, dmats)
         self._set_grads([dg0, *dcores], dy)
         return dx[:, : self.in_features].reshape(in_shape) if input_grad else None
 
@@ -566,7 +566,7 @@ class MaxPool(Layer):
     stride = 2
 
     def build(self, in_shape, rng):
-        w, h, c = in_shape
+        w, h, c = self._spatial(in_shape)
         if w < self.size or h < self.size:
             raise ShapeError(f"input ({w}, {h}) smaller than {self.size}x{self.size} pool")
         return ((w - self.size) // self.stride + 1, (h - self.size) // self.stride + 1, c)
@@ -581,8 +581,6 @@ class MaxPool(Layer):
                 yield a[:, i : i + span_x : s, j : j + span_y : s]
 
     def forward(self, x, train=False):
-        if x.ndim != 4:
-            raise ShapeError(f"{self.kind} expects (B, W, H, C) input, got {x.ndim} dims")
         wo, ho, _ = self.build(x.shape[1:], None)
         k, s = self.size, self.stride
         span_x, span_y = s * (wo - 1) + 1, s * (ho - 1) + 1
@@ -636,7 +634,7 @@ class AvgPool(Layer):
         self.size = size
 
     def build(self, in_shape, rng):
-        w, h, c = in_shape
+        w, h, c = self._spatial(in_shape)
         if w % self.size or h % self.size:
             raise ShapeError(f"input ({w}, {h}) not divisible by pool size {self.size}")
         return (w // self.size, h // self.size, c)
@@ -739,7 +737,7 @@ class ZeroPad(Layer):
         self.pad = pad
 
     def build(self, in_shape, rng):
-        w, h, c = in_shape
+        w, h, c = self._spatial(in_shape)
         return (w + 2 * self.pad, h + 2 * self.pad, c)
 
     def forward(self, x, train=False):

@@ -498,7 +498,8 @@ class TestSizeLimits:
 
 class TestLossHeadInput:
     """Logits that are not (batch, classes), or too few classes for the
-    targets, are a shape mismatch (exit 3) named by the loss head."""
+    targets, are a shape mismatch (exit 3) named by the loss head; so is a
+    layer that cannot take its input's shape, named by its index and kind."""
 
     @pytest.mark.parametrize(
         "layers,message",
@@ -511,6 +512,18 @@ class TestLossHeadInput:
             ("layer = dense-conv 3 4\nlayer = relu\nlayer = max-pool\nlayer = dense-conv 3 2",
              "error: softmax-cross-entropy expects (batch, classes) logits, "
              "got (32, 4, 4, 2) logits for (32,) targets\n"),
+            *(
+                (f"layer = dense-fc 4\nlayer = {kind}\nlayer = dense-fc 2",
+                 f"error: layer 1 ({kind.split()[0]}): {kind.split()[0]} expects W x H x C "
+                 "samples, got shape (4,)\n")
+                for kind in ("max-pool", "zero-pad 1", "dense-conv 3 4", "avg-pool 2")
+            ),
+            *(
+                (f"layer = naive-tt-conv 3 4 ranks={ranks}\nlayer = dense-fc 2",
+                 "error: layer 0 (naive-tt-conv): naive TT kernel has 4 modes and needs "
+                 "3 interior ranks\n")
+                for ranks in ("2,2", "2,2,2,2")
+            ),
         ],
     )
     def test_train_exit_3(self, tmp_path, capsys, layers, message):

@@ -11,14 +11,13 @@ from ttconv.kernels import (
     TTConvKernel,
     compression_ratio,
     factorize_channels,
+    fit_factorization,
     naive_ttconv_forward,
     naive_ttconv_from_dense,
     naive_ttconv_to_dense,
     random_ttconv_kernel,
     ttconv_forward,
     ttconv_from_dense,
-    ttconv_matrix,
-    ttconv_matrix_grad,
     ttconv_to_dense,
     ttconv_to_ttmatrix,
     ttconv_to_ttmatrix_grad,
@@ -242,21 +241,33 @@ class TestLayoutMatchesPaperOrderRoute:
         ranks = (2, 3, 2)[: fact.depth]
         return random_ttconv_kernel(ell, fact, ranks, np.random.default_rng(ell * 100 + fact.depth))
 
+    @staticmethod
+    def layer(tk, channels):
+        """A tt-conv layer holding tk's cores over its first ``channels`` input
+        channels, which it factorizes by ``fit_factorization``."""
+        layer = TTConv(tk.ell, tk.fact.channels_out, tk.ranks[1:-1], factors=tk.fact, bias=False)
+        layer.build((tk.ell, tk.ell, channels), np.random.default_rng(0))
+        assert layer.fact == fit_factorization(tk.fact, channels, tk.fact.channels_out)
+        for p, core in zip(layer.params, [tk.g0, *tk.cores], strict=True):
+            p[...] = core
+        return layer
+
     def test_matrix(self, ell, c_factors, s_factors, pad_c, pad_s):
         tk = self.kernel(ell, c_factors, s_factors, pad_c, pad_s)
         for channels in {1, tk.fact.channels_in}:
-            got = ttconv_matrix(tk.g0, tk.cores, tk.fact, channels)
+            got = self.layer(tk, channels).weight_matrix()
             assert_bitwise_equal(got, reference_matrix(tk, channels))
 
     def test_matrix_grad(self, ell, c_factors, s_factors, pad_c, pad_s):
         tk = self.kernel(ell, c_factors, s_factors, pad_c, pad_s)
         rng = np.random.default_rng(7)
         for channels in {1, tk.fact.channels_in}:
+            layer = self.layer(tk, channels)
             dmat = rng.standard_normal((ell * ell * channels, tk.fact.channels_out))
             # the network passes dL/dW as the transpose of a C-order product
             for layout in (dmat, np.asfortranarray(dmat)):
-                dg0, dcores = ttconv_matrix_grad(tk.g0, tk.cores, tk.fact, layout)
-                for got, want in zip([dg0, *dcores], reference_matrix_grad(tk, dmat)):
+                grads = layer.weight_grads(layout)
+                for got, want in zip(grads, reference_matrix_grad(tk, dmat), strict=True):
                     assert_bitwise_equal(got, want)
 
     def test_from_dense(self, ell, c_factors, s_factors, pad_c, pad_s):
@@ -353,10 +364,11 @@ class TestLayersMatchKernelRoute:
         layer = TTConv(ell, s, ranks=(2, 3), d=2)
         layer.build((5, 5, c), np.random.default_rng(4))
         g0, *cores = layer.params[:3]
-        assert_bitwise_equal(layer.weight_matrix(), ttconv_matrix(g0, cores, layer.fact, c))
+        tk = TTConvKernel(ell, layer.fact, g0, cores)
+        assert_bitwise_equal(layer.weight_matrix(), reference_matrix(tk, c))
         for dmat in self.dmat_layouts((ell * ell * c, s)):
-            dg0, dcores = ttconv_matrix_grad(g0, cores, layer.fact, dmat)
-            for got, want in zip(layer.weight_grads(dmat), [dg0, *dcores], strict=True):
+            grads = layer.weight_grads(dmat)
+            for got, want in zip(grads, reference_matrix_grad(tk, dmat), strict=True):
                 assert_bitwise_equal(got, want)
 
     @pytest.mark.parametrize("bias", [True, False])

@@ -225,6 +225,31 @@ class TestNetworkForward:
             net.forward(np.ones((1, 2, 2, 1)))
         assert info.value.__cause__ is error
 
+    @pytest.mark.parametrize(
+        "layers,in_shape,message",
+        [
+            # a spatial layer after a flat one
+            *(
+                (
+                    [Dense(4), layer],
+                    (6, 6, 1),
+                    rf"layer 1 \({layer.kind}\): {layer.kind} expects W x H x C samples, "
+                    r"got shape \(4,\)",
+                )
+                for layer in (MaxPool(), ZeroPad(1), Conv2D(3, 4), AvgPool(2))
+            ),
+            (
+                [MaxPool()],
+                (2, 5, 1),
+                r"layer 0 \(max-pool\): input \(2, 5\) smaller than 3x3 pool",
+            ),
+        ],
+        ids=["max-pool", "zero-pad", "dense-conv", "avg-pool", "max-pool-2x5"],
+    )
+    def test_build_names_a_layer_its_input_does_not_fit(self, layers, in_shape, message):
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            Network(layers).build(in_shape, np.random.default_rng(0))
+
     def test_compression_of_a_net_without_parameters(self):
         net = Network([ReLU()])
         net.build((2, 2, 1), np.random.default_rng(0))
@@ -644,9 +669,8 @@ class TestTTDenseChain:
         def refuse(*args):
             raise AssertionError("tt-fc materialized W")
 
-        for module in (nn, kernels):
-            monkeypatch.setattr(module, "tt_chain", refuse)
-            monkeypatch.setattr(module, "tt_chain_grad", refuse)
+        for module, name in ((nn, "tt_chain"), (nn, "tt_chain_grad"), (kernels, "tt_chain")):
+            monkeypatch.setattr(module, name, refuse)
         rng = np.random.default_rng(8)
         y = layer.forward(rng.standard_normal((2, 256)), train=True)
         dx = layer.backward(rng.standard_normal(y.shape))
@@ -988,7 +1012,8 @@ class TestBackwardFreesCaches:
 
 
 class TestWrongInputSize:
-    """A parametrized layer fed another per-sample size than it was built for."""
+    """A parametrized layer fed another per-sample size than it was built for,
+    and a max-pool fed samples that are not W x H x C."""
 
     @pytest.mark.parametrize(
         "layer, in_shape, x_shape, message",
@@ -1014,6 +1039,12 @@ class TestWrongInputSize:
                 "tt-fc expects 6 input features per sample, got 7",
             ),
             (lambda: BatchNorm(), (4, 4, 3), (2, 4, 4, 5), "batch-norm expects 3 channels, got 5"),
+            (
+                lambda: MaxPool(),
+                (5, 5, 3),
+                (5, 5, 3),
+                r"max-pool expects W x H x C samples, got shape \(5, 3\)",
+            ),
         ],
     )
     @pytest.mark.parametrize("train", [False, True])
@@ -1080,7 +1111,9 @@ class TestSharedPatchWorkspace:
         y = patches @ w + layer.params[-1]
         dy = dy.reshape(patches.shape[0], -1)
         grads = layer.weight_grads((dy.T @ patches).T) + [dy.sum(axis=0)]
-        return y, grads, layer._input_grad(dy, w, x.shape)
+        dx = np.zeros(x.shape)
+        layer._input_grad(dy, w, dx)
+        return y, grads, dx
 
     def _check(self, layer, x, dy, y, dx):
         y_ref, grads_ref, dx_ref = self._reference(layer, x, dy)

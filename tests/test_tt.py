@@ -219,6 +219,24 @@ class TestTTSVD:
             tt_svd(a, tol=1.5)
 
 
+class TestTruncationRankTies:
+    """A value tied with the last one the budget keeps is kept too, unless it
+    lies at or below ``_TIE_RTOL * s[0]``."""
+
+    def test_tie_extends_the_rank(self):
+        # the budget alone keeps 3 (the tail 2^2 + 1^2 is within 6), but s[3] ties s[2]
+        assert _truncation_rank(np.array([4.0, 2.0, 2.0, 2.0, 1.0]), math.sqrt(6)) == 4
+
+    def test_tt_svd_keeps_the_tie(self):
+        s = np.array([4.0, 2.0, 2.0, 2.0, 1.0])
+        tt = tt_svd(np.diag(s), tol=math.sqrt(6 / 29) * (1 + 1e-9))
+        assert tt.ranks == (1, 4, 1)
+
+    def test_ties_below_noise_do_not_extend_the_rank(self):
+        s = np.array([1.0, 5e-13, 5e-13, 5e-13])
+        assert _truncation_rank(s, math.sqrt(6e-25)) == 2
+
+
 class TestParamCount:
     def test_direct_formula(self):
         tt = random_tt((4, 4, 4), (2, 2), np.random.default_rng(0))
