@@ -30,12 +30,13 @@ The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
 layer's W: a TT conv layer above it fails at its first forward pass.
 
 A convolution builds its (B*W'*H', l*l*C) patch matrix a block at a time,
-in a buffer that lives for one call: blocks of whole images, as many as fit
+in one buffer per call: blocks of whole images, as many as fit
 ``_BLOCK_BYTES``, while one image's patches fit it, and otherwise runs of
-whole output rows of one image, as many as fit and at least one.  Its
-backward pass rebuilds each block from the cached input and sums dW over
-them.  No conv holds more than one block of patches, and none outlives the
-call.
+whole output rows of one image, as many as fit and at least one.  When one
+block holds the whole batch, a training forward pass keeps it for the
+backward pass, which forms dW from it; otherwise the backward pass rebuilds
+each block from the cached input and sums dW over them.  No conv holds more
+than one block of patches, and only a kept one outlives the call.
 
 A convolution's input gradient is one GEMM per kernel offset (i, j),
 ``dY @ K[i, j]^T``, added straight into the input pixels that offset reads,
@@ -44,11 +45,12 @@ patches, so the backward pass forms dx apart from the patch blocks, in
 blocks of whole images written straight into their slice of dx.
 
 A training cache holds only what the backward pass reads: a matrix layer
-its input x and W (tt-fc the matrix TT of its chain and its forward sweep),
-max-pool each window's first maximal slot as a uint8 and the input shape,
-batch-norm xhat and inv_std, ReLU its mask, zero-pad the input shape.  The
-backward pass uses the caches up.  A matrix layer drops its own, and frees x
-once dW is summed, before it allocates dx.
+its input x, W and its patches when they are one block (tt-fc the matrix TT
+of its chain and its forward sweep), max-pool each window's first maximal
+slot as a uint8 and the input shape, batch-norm xhat and inv_std, ReLU its
+mask, zero-pad the input shape.  The backward pass uses the caches up.  A
+matrix layer drops its own, and frees x and the kept patches once dW is
+summed, before it allocates dx.
 
 ``Network.backward`` only fills the parameter gradients.  Nothing reads the
 gradient of the network input, so the lowest parametrized layer skips its
@@ -166,13 +168,15 @@ class _MatrixLayer(Layer):
     ``_ConvLayer``.  ``_patch_blocks(x)`` hands out the patches in blocks,
     ``(samples, rows, patches)``: the samples the block reads, its rows of y
     and its patches; here one block, a view of x.  The forward pass writes
-    each block's ``patches @ W`` into its rows of y, and the backward pass
-    walks the same blocks, summing each block's dW.  It then forms dx over
-    ``_sample_blocks(x.shape)``, blocks of whole samples ``(samples, rows)``,
-    each written into its slice of dx by ``_input_grad`` (which a conv forms
-    per kernel offset instead of as ``dY W^T``).  The training cache is the input
-    x (held by reference, so it must not change before ``backward``) and W;
-    ``backward`` drops it, and frees x once dW is summed.
+    each block's ``patches @ W`` into its rows of y.  The backward pass forms
+    dW from the block a training forward kept, when there was only one, and
+    otherwise walks the same blocks again, summing each block's dW.  It then
+    forms dx over ``_sample_blocks(x.shape)``, blocks of whole samples
+    ``(samples, rows)``, each written into its slice of dx by ``_input_grad``
+    (which a conv forms per kernel offset instead of as ``dY W^T``).  The
+    training cache is the input x (held by reference, so it must not change
+    before ``backward``), W, and that one block or None; ``backward`` drops
+    it, and frees x and the block once dW is summed.
     A subclass supplies ``_init_weights(channels, n_out, rng)``, its weight
     parameters; bias goes last.  ``weight_matrix()`` is then the first
     parameter reshaped to ``weight_shape``, and ``weight_grads(dw)`` gives
@@ -238,14 +242,17 @@ class _MatrixLayer(Layer):
             np.matmul(cols, w, out=y_rows[rows])
         if self.with_bias:
             y_rows += self.params[-1]
-        self._cache = (x, w) if train else None
+        # a block of every patch row is the whole batch's: backward reuses it
+        self._cache = (x, w, cols if len(cols) == len(y_rows) else None) if train else None
         return y
 
-    def _weight_grad(self, x, dy):
-        """dL/dW, summed over the patch blocks of x.  The last block's patches
-        go when this returns, before ``backward`` allocates dx."""
+    def _weight_grad(self, x, cols, dy):
+        """dL/dW, from ``cols`` when forward kept the whole batch's patches,
+        else summed over the patch blocks of x.  The last block's patches go
+        when this returns, before ``backward`` allocates dx."""
+        blocks = self._patch_blocks(x) if cols is None else [(None, slice(None), cols)]
         dw = None
-        for _, rows, cols in self._patch_blocks(x):
+        for _, rows, cols in blocks:
             dy_b = dy[rows]
             # dW = P^T dY, formed as (dY^T P)^T for patches with at least
             # min(columns, 64) rows: 18 instead of 28 ms for 8192 x 576 patches
@@ -257,12 +264,12 @@ class _MatrixLayer(Layer):
         return dw
 
     def backward(self, dy, input_grad=True):
-        x, w = self._require_cache()
+        x, w, cols = self._require_cache()
         self._cache = None
         in_shape = x.shape
         dy = dy.reshape(-1, w.shape[1])
-        dw = self._weight_grad(x, dy)
-        del x  # nothing reads the input again, so it goes before dx is allocated
+        dw = self._weight_grad(x, cols, dy)
+        del x, cols  # nothing reads them again, so they go before dx is allocated
         self._set_grads(self.weight_grads(dw), dy)
         if not input_grad:
             return None
@@ -556,8 +563,11 @@ class MaxPool(Layer):
     order, and a window that holds a NaN pools to NaN.  Training caches the
     input shape and, per window, the first slot whose value equals the
     output, as a uint8 (``size * size`` for a NaN window, which equals no
-    slot); the backward pass routes each output gradient to that slot.  A NaN
-    window routes no gradient.
+    slot).  The backward pass turns the slots into flat input indices and
+    scatters dy to them in one ``np.bincount``, which adds in window order:
+    a cell shared by overlapping windows sums their gradients as a
+    scatter-add over the windows does, and a non-finite gradient reaches its
+    one cell only.  A NaN window routes no gradient.
     """
 
     kind = "max-pool"
@@ -611,17 +621,21 @@ class MaxPool(Layer):
 
     def backward(self, dy):
         slot, in_shape = self._require_cache()
-        # adding the slots last to first sums the gradients a cell gets from
-        # overlapping windows in window order, so dx is bitwise that of a
-        # scatter-add over the windows
-        dx = np.zeros(in_shape)
-        hit = np.empty(dy.shape, dtype=bool)
-        grad = np.empty(dy.shape)
-        for k, dv in reversed(list(enumerate(self._slots(dx, dy.shape)))):
-            np.equal(slot, k, out=hit)
-            np.multiply(dy, hit, out=grad)
-            dv += grad
-        return dx
+        b, w, h, c = in_shape
+        n = b * w * h * c
+        s = self.stride
+        _, wo, ho, _ = slot.shape
+        # flat input index of slot (i, j): the window's corner plus (i*H + j)*C;
+        # a NaN window's slot, size * size, maps past the end
+        i, j = np.divmod(np.arange(self.size * self.size), self.size)
+        idx = np.append((i * h + j) * c, n)[slot]
+        idx += ((np.arange(b)[:, None, None, None] * w + s * np.arange(wo)[:, None, None]) * h
+                + s * np.arange(ho)[:, None]) * c + np.arange(c)
+        np.minimum(idx, n, out=idx)
+        # bincount adds in window order, so a cell shared by overlapping
+        # windows sums their gradients as a scatter-add over the windows does
+        dx = np.bincount(idx.ravel(), weights=dy.ravel(), minlength=n + 1)[:n]
+        return dx.reshape(in_shape)
 
 
 class AvgPool(Layer):
@@ -636,13 +650,13 @@ class AvgPool(Layer):
     def build(self, in_shape, rng):
         w, h, c = self._spatial(in_shape)
         if w % self.size or h % self.size:
-            raise ShapeError(f"input ({w}, {h}) not divisible by pool size {self.size}")
+            raise ShapeError(f"{self.kind} input ({w}, {h}) not divisible by pool size {self.size}")
         return (w // self.size, h // self.size, c)
 
     def forward(self, x, train=False):
-        b, w, h, c = x.shape
+        wo, ho, c = self.build(x.shape[1:], None)
         k = self.size
-        y = x.reshape(b, w // k, k, h // k, k, c).mean(axis=(2, 4))
+        y = x.reshape(len(x), wo, k, ho, k, c).mean(axis=(2, 4))
         self._cache = x.shape if train else None
         return y
 
@@ -741,6 +755,7 @@ class ZeroPad(Layer):
         return (w + 2 * self.pad, h + 2 * self.pad, c)
 
     def forward(self, x, train=False):
+        self.build(x.shape[1:], None)
         p = self.pad
         self._cache = x.shape if train else None
         return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))

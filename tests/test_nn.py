@@ -833,6 +833,37 @@ class TestMaxPoolEquivalence:
                 assert x[np.unravel_index(dx.argmax(), dx.shape)] == y[window]
                 assert np.array_equal(dx, _maxpool_oracle(x, dy)[1]), (name, window)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_reaches_one_cell(self, bad):
+        x = np.arange(50.0).reshape(2, 5, 5, 1)  # a ramp: each window's max is its last slot
+        layer = MaxPool()
+        out_shape = (2,) + layer.build((5, 5, 1), None)
+        dy = np.random.default_rng(3).standard_normal(out_shape)
+        dy[0, 0, 1, 0] = bad
+        layer.forward(x, train=True)
+        with np.errstate(all="raise"):
+            dx = layer.backward(dy)
+        assert np.count_nonzero(~np.isfinite(dx)) == 1
+        assert np.array_equal(_bits(dx), _bits(_maxpool_oracle(x, dy)[1]))
+
+    @pytest.mark.parametrize("w,h", [(5, 5), (7, 6), (14, 14)])
+    def test_non_finite_gradients_match_the_oracle(self, w, h):
+        rng = np.random.default_rng(w * h + 1)
+        for name, x in _pool_inputs(rng, (2, w, h, 3)).items():
+            x[0, 2, 2, 0] = np.nan
+            layer = MaxPool()
+            out_shape = (2,) + layer.build((w, h, 3), None)
+            dy = rng.standard_normal(out_shape)
+            flat = dy.reshape(-1)
+            picks = rng.choice(flat.size, size=6, replace=False)
+            flat[picks] = [np.inf, -np.inf, np.nan, np.inf, -np.inf, np.nan]
+            y = layer.forward(x, train=True)
+            with np.errstate(invalid="ignore"):  # inf - inf in a shared cell
+                # a NaN window routes no gradient, where argmax picks its NaN
+                want = _maxpool_oracle(x, np.where(np.isnan(y), 0.0, dy))[1]
+                got = layer.backward(dy)
+            assert np.array_equal(_bits(got), _bits(want)), name
+
     def test_gradcheck_conv_relu_pool_dense(self):
         net = Network([Conv2D(3, 4), ReLU(), MaxPool(), Dense(2)])
         net.build((9, 9, 2), np.random.default_rng(11))
@@ -1013,7 +1044,8 @@ class TestBackwardFreesCaches:
 
 class TestWrongInputSize:
     """A parametrized layer fed another per-sample size than it was built for,
-    and a max-pool fed samples that are not W x H x C."""
+    a pool or zero-pad fed samples that are not W x H x C, and an avg-pool fed
+    a size its window does not divide."""
 
     @pytest.mark.parametrize(
         "layer, in_shape, x_shape, message",
@@ -1044,6 +1076,24 @@ class TestWrongInputSize:
                 (5, 5, 3),
                 (5, 5, 3),
                 r"max-pool expects W x H x C samples, got shape \(5, 3\)",
+            ),
+            (
+                lambda: AvgPool(2),
+                (4, 4, 1),
+                (1, 5, 5, 1),
+                r"avg-pool input \(5, 5\) not divisible by pool size 2",
+            ),
+            (
+                lambda: AvgPool(2),
+                (4, 4, 1),
+                (1, 4, 4),
+                r"avg-pool expects W x H x C samples, got shape \(4, 4\)",
+            ),
+            (
+                lambda: ZeroPad(1),
+                (4, 4, 1),
+                (1, 4, 4),
+                r"zero-pad expects W x H x C samples, got shape \(4, 4\)",
             ),
         ],
     )
@@ -1078,9 +1128,8 @@ def _bits(a):
 
 
 class TestSharedPatchWorkspace:
-    """Every conv builds its patches in one shared workspace and caches its
-    input; backward reuses the patches only when no other fill came between.
-    Each conv's output, grads and dx are compared bitwise with a reference
+    """Convs that run between another conv's forward and backward passes
+    leave its kept patches and cached input alone.  Each conv's output, grads and dx are compared bitwise with a reference
     built from ``im2col_batch(x, l)`` and ``(dY^T P)^T``."""
 
     KINDS = ["dense-conv", "tt-conv", "naive-tt-conv"]
@@ -1159,7 +1208,7 @@ class TestSharedPatchWorkspace:
         self._check(a, xa, dya, ya, a.backward(dya))
 
     def test_network_step(self):
-        # the topmost conv reuses its patches, the two below rebuild theirs
+        # each conv's batch is one block, so each keeps its own patches
         net = Network(
             [
                 ZeroPad(1),
@@ -1424,8 +1473,8 @@ class TestTrainingStepMemory:
 
 
 class TestBlockedPatchMemory:
-    """No conv call holds more than one block of patches, and none outlives
-    the call.  One image of 18 x 18 x 32 has 256 x 288 patch entries (590 KB),
+    """No conv call holds more than one block of patches, and none of several
+    blocks outlives the call.  One image of 18 x 18 x 32 has 256 x 288 patch entries (590 KB),
     so at the shipped block budget a block holds 3 images.  Each test takes a
     batch larger than any conv before it, so a buffer kept from an earlier
     call could not hide its own."""
@@ -1461,6 +1510,118 @@ class TestBlockedPatchMemory:
         finally:
             tracemalloc.stop()
         assert after - before - y.nbytes < 64 * 1024
+
+
+def _drop_kept_block(layer):
+    """Forget the patch block a training forward kept, so backward rebuilds it."""
+    x, w, _ = layer._cache
+    layer._cache = (x, w, None)
+
+
+class TestKeptPatchBlock:
+    """A conv whose whole batch fits one block of patches keeps that block for
+    its backward pass instead of building it again, and the kept block gives
+    the bits a rebuilt one does.  With two or more blocks nothing is kept."""
+
+    KINDS = ["dense-conv", "tt-conv", "naive-tt-conv"]
+    IN_SHAPE, ELL = (7, 6, 3), 3  # 5 x 4 output pixels of 27 patch columns per image
+
+    @pytest.fixture
+    def im2col_calls(self, monkeypatch):
+        calls = []
+
+        def im2col(xb, ell, out=None):
+            calls.append(len(xb))
+            return im2col_batch(xb, ell, out=out)
+
+        monkeypatch.setattr(nn, "im2col_batch", im2col)
+        return calls
+
+    def _conv(self, kind):
+        layer = _conv_layer(kind, self.ELL, 5)
+        layer.build(self.IN_SHAPE, np.random.default_rng(4))
+        return layer
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_block_builds_its_patches_once(self, kind, im2col_calls):
+        layer = self._conv(kind)
+        rng = np.random.default_rng(1)
+        y = layer.forward(rng.standard_normal((3,) + self.IN_SHAPE), train=True)
+        assert layer._cache[2].shape == (3 * 20, 27)
+        layer.backward(rng.standard_normal(y.shape))
+        assert im2col_calls == [3]
+        assert layer._cache is None
+        layer.forward(rng.standard_normal((3,) + self.IN_SHAPE))
+        assert im2col_calls == [3, 3]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_blocks_keep_nothing(self, kind, im2col_calls, monkeypatch):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", 2 * 20 * 27 * 8)  # two images per block
+        layer = self._conv(kind)
+        rng = np.random.default_rng(2)
+        y = layer.forward(rng.standard_normal((4,) + self.IN_SHAPE), train=True)
+        assert layer._cache[2] is None
+        layer.backward(rng.standard_normal(y.shape))
+        assert im2col_calls == [2, 2, 2, 2]
+
+    def test_dense_fc_keeps_a_view_of_its_input(self):
+        layer = Dense(3)
+        layer.build((4, 2), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((5, 4, 2))
+        layer.forward(x, train=True)
+        assert layer._cache[2].base is x
+
+    @pytest.mark.parametrize(
+        "ell, in_shape, out, batch",
+        [(3, IN_SHAPE, 5, 3), (3, (16, 16, 1), 8, 128), (3, (6, 6, 8), 16, 128)],
+        ids=["small", "desk-conv-1", "desk-conv-2"],
+    )
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kept_block_gives_the_rebuilt_bits(self, kind, input_grad, ell, in_shape, out, batch):
+        rng = np.random.default_rng(batch)
+        x = rng.standard_normal((batch,) + in_shape)
+        runs = []
+        for keep in (True, False):
+            layer = _conv_layer(kind, ell, out)
+            layer.build(in_shape, np.random.default_rng(5))
+            y = layer.forward(x, train=True)
+            assert layer._cache[2] is not None
+            if not keep:
+                _drop_kept_block(layer)
+            dy = np.random.default_rng(6).standard_normal(y.shape)
+            dx = layer.backward(dy, input_grad=input_grad)
+            runs.append([y] + ([dx] if input_grad else []) + layer.grads)
+        for kept, rebuilt in zip(*runs, strict=True):
+            assert np.array_equal(_bits(kept), _bits(rebuilt))
+
+    def test_desk_step_holds_at_most_one_block_per_conv(self):
+        # the shipped TT-conv net at its batch of 128: both convs keep a block
+        net = build_network(load_config(ROOT / "demos/configs/ttconv.cfg"))
+        net.build((16, 16, 1), np.random.default_rng(0))
+        convs = [layer for layer in net.layers if isinstance(layer, nn._ConvLayer)]
+        x = np.random.default_rng(1).standard_normal((128, 16, 16, 1))
+        targets = np.arange(128) % 2
+
+        def step(keep):
+            tracemalloc.start()
+            try:
+                net.forward_loss(x, targets, train=True)
+                kept = [layer._cache[2].nbytes for layer in convs]
+                if not keep:
+                    for layer in convs:
+                        _drop_kept_block(layer)
+                net.backward()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return kept, peak
+
+        step(True)
+        kept, peak = step(True)
+        _, rebuilt_peak = step(False)
+        assert len(kept) == 2 and max(kept) <= nn._BLOCK_BYTES
+        assert peak <= rebuilt_peak + sum(kept) + 64 * 1024
 
 
 class TestEmptyBatch:
