@@ -3,7 +3,8 @@
 Writes a kernel to a .ten file, decomposes it both ways at a shared error
 budget, reconstructs it back, checks gradients for a config, trains the two
 shipped configs (shortened here), and merges their logs into the final
-accuracy/compression table.
+accuracy/compression table.  Everything is written to a temporary working
+directory, which is listed and removed at the end.
 """
 
 import pathlib
@@ -16,7 +17,8 @@ from ttconv.io import load_dense, save_dense
 from ttconv.kernels import factorize_channels, random_ttconv_kernel, ttconv_to_dense
 
 here = pathlib.Path(__file__).parent
-work = pathlib.Path(tempfile.mkdtemp(prefix="ttconv-demo-"))
+workdir = tempfile.TemporaryDirectory(prefix="ttconv-demo-")
+work = pathlib.Path(workdir.name)
 print("working directory:", work)
 
 
@@ -63,6 +65,7 @@ run("train", dense_cfg, "-o", work / "dense.csv")
 run("train", tt_cfg, "-o", work / "tt.csv")
 run("report", work / "dense.csv", work / "tt.csv", "--csv", work / "table.csv")
 
-print("\nfiles produced:")
+print("\nfiles produced (removed with the working directory):")
 for p in sorted(work.iterdir()):
     print(" ", p.name)
+workdir.cleanup()

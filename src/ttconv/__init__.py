@@ -32,7 +32,6 @@ from .kernels import (
     ttconv_from_dense,
     ttconv_to_dense,
     ttconv_to_ttmatrix,
-    ttconv_to_ttmatrix_grad,
 )
 from .tt import TTTensor, random_tt, tt_element, tt_full, tt_param_count, tt_svd
 from .ttmatrix import (

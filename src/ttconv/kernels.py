@@ -11,8 +11,8 @@ Every function here that builds, decomposes or reconstructs a kernel goes
 through that pair, and the TT layers of ``nn`` build W and its gradient
 through it (``weight_matrix`` and ``weight_grads``, the one route that
 differentiates a kernel).  The cores of a 1x1 kernel also map to a matrix TT
-(``cores_ttmatrix``, with its VJP ``cores_ttmatrix_grad``): tt-fc's route,
-which never forms W.
+(``ttconv_to_ttmatrix``); tt-fc sweeps its channel cores in their own
+(c_k, s_k) order through ``ttmatrix``'s sweep, which never forms W.
 
 The proposed form (``kernel_layout``) factorizes channels as
 ``C = prod(C_k)`` and ``S = prod(S_k)`` (padding with zero channels when
@@ -46,7 +46,7 @@ import numpy as np
 from .conv import check_kernel, conv2d_direct, conv2d_gemm
 from .errors import ShapeError
 from .tt import TTTensor, tt_chain, tt_param_count, tt_svd
-from .ttmatrix import TTMatrix
+from .ttmatrix import TTMatrix, _matrix_axes
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def kernel_layout(ell, fact: ChannelFactorization) -> KernelLayout:
     d = fact.depth
     modes = (ell * ell,) + tuple(c * s for c, s in zip(fact.c_factors, fact.s_factors))
     digits = (ell, ell) + tuple(f for pair in zip(fact.c_factors, fact.s_factors) for f in pair)
-    axes = (1, 0) + tuple(range(2 * d, 0, -2)) + tuple(range(2 * d + 1, 1, -2))
+    axes = (1, 0) + tuple(2 + a for a in _matrix_axes(d))
     padded = (ell, ell, fact.c_padded, fact.s_padded)
     shape = (ell, ell, fact.channels_in, fact.channels_out)
     return KernelLayout(modes, digits, axes, padded, shape)
@@ -308,53 +308,19 @@ def ttconv_forward(x, tk: TTConvKernel) -> np.ndarray:
     return conv2d_gemm(x, ttconv_to_dense(tk))
 
 
-def cores_ttmatrix(g0, cores, fact: ChannelFactorization) -> TTMatrix:
-    """The per-pixel linear map of the 1x1 kernel (g0, cores) as a matrix in TT format.
+def ttconv_to_ttmatrix(tk: TTConvKernel) -> TTMatrix:
+    """The per-pixel linear map of a 1x1 TT kernel as a matrix in TT format.
 
-    ``g0`` is (1, 1, r1) and the channel cores are (r_k, C_k, S_k, r_{k+1}).
     Returns the (S_padded x C_padded) matrix mapping input channels to output
     channels, with the spatial core absorbed into the first channel core and
     each (c_k, s_k) mode taken as (s_k, c_k).
     """
-    first = np.tensordot(g0[0, 0], cores[0], axes=(0, 0))  # (C1, S1, r2)
-    mats = [first.transpose(1, 0, 2).reshape(1, -1, cores[0].shape[3])]
-    for core in cores[1:]:
-        r_in, ck, sk, r_out = core.shape
-        mats.append(core.transpose(0, 2, 1, 3).reshape(r_in, sk * ck, r_out))
-    return TTMatrix(TTTensor(mats), fact.s_factors, fact.c_factors)
-
-
-def cores_ttmatrix_grad(g0, cores, fact: ChannelFactorization, dcores):
-    """Gradients (dg0, [dG_k]) of the 1x1 kernel (g0, cores) given the gradients
-    ``dcores`` of the cores of ``cores_ttmatrix(g0, cores, fact)``: that map's VJP.
-
-    Each (s_k, c_k) mode goes back to (c_k, s_k), and the first core's
-    gradient is split between the spatial core and channel core 1.
-    """
-    dchan = [
-        g.reshape(g.shape[0], sk, ck, g.shape[2]).transpose(0, 2, 1, 3)
-        for g, ck, sk in zip(dcores, fact.c_factors, fact.s_factors)
-    ]
-    dfirst = dchan[0][0]  # (C1, S1, r2)
-    dg0 = np.tensordot(cores[0], dfirst, axes=3).reshape(g0.shape)
-    dchan[0] = np.multiply.outer(g0[0, 0], dfirst)
-    return dg0, dchan
-
-
-def _one_by_one(tk: TTConvKernel):
     if tk.ell != 1:
         raise ShapeError("per-pixel matrix form requires a 1x1 kernel")
-    return tk.g0, tk.cores, tk.fact
-
-
-def ttconv_to_ttmatrix(tk: TTConvKernel) -> TTMatrix:
-    """``cores_ttmatrix`` of a 1x1 TT kernel."""
-    return cores_ttmatrix(*_one_by_one(tk))
-
-
-def ttconv_to_ttmatrix_grad(tk: TTConvKernel, dcores):
-    """``cores_ttmatrix_grad`` of a 1x1 TT kernel."""
-    return cores_ttmatrix_grad(*_one_by_one(tk), dcores)
+    first = np.tensordot(tk.g0[0, 0], tk.cores[0], axes=(0, 0))[None]  # (1, C1, S1, r2)
+    chain = [first, *tk.cores[1:]]
+    mats = [g.transpose(0, 2, 1, 3).reshape(g.shape[0], -1, g.shape[3]) for g in chain]
+    return TTMatrix(TTTensor(mats), tk.fact.s_factors, tk.fact.c_factors)
 
 
 def ttconv_core_shapes(ell: int, fact: ChannelFactorization, ranks) -> list:

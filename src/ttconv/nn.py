@@ -22,9 +22,9 @@ viewed per call from the layer's parameters, plus its layout, a
 entries sit in W.  W is ``layout.matrix(tt_chain(chain))``, rebuilt on every
 forward pass, and dL/dW goes back to the cores as
 ``tt_chain_grad(chain, layout.entries(dW))``.  ``TTDense`` is the exception:
-it computes ``Y = X W`` through the matrix TT of its cores
-(``kernels.cores_ttmatrix``) one core at a time (``ttmatrix.ttm_batch``) and
-never forms W.
+it computes ``Y = X W`` one core at a time by the matrix-TT sweep
+(``ttmatrix._ttm_sweep``) over its channel cores as they are, the spatial
+core absorbed into the first, and never forms W.
 
 The one size limit is the element cap of ``tt.tt_chain``, which forms a TT
 layer's W: a TT conv layer above it fails at its first forward pass.
@@ -45,8 +45,8 @@ patches, so the backward pass forms dx apart from the patch blocks, in
 blocks of whole images written straight into their slice of dx.
 
 A training cache holds only what the backward pass reads: a matrix layer
-its input x, W and its patches when they are one block (tt-fc the matrix TT
-of its chain and its forward sweep), max-pool each window's first maximal
+its input x, W and its patches when they are one block (tt-fc the cores it
+swept and its forward sweep), max-pool each window's first maximal
 slot as a uint8 and the input shape, batch-norm xhat and inv_std, ReLU its
 mask, zero-pad the input shape.  The backward pass uses the caches up.  A
 matrix layer drops its own, and frees x and the kept patches once dW is
@@ -73,8 +73,6 @@ from .kernels import (
     _chain_cores,
     _kernel_cores,
     compression_ratio,
-    cores_ttmatrix,
-    cores_ttmatrix_grad,
     factorize_channels,
     fit_factorization,
     kernel_layout,
@@ -82,7 +80,7 @@ from .kernels import (
     ttconv_core_shapes,
 )
 from .tt import tt_chain, tt_chain_grad
-from .ttmatrix import ttm_batch, ttm_batch_vjp
+from .ttmatrix import _ttm_sweep, _ttm_sweep_vjp
 
 __all__ = [
     "Layer",
@@ -497,11 +495,11 @@ class TTDense(_ProposedTT, _MatrixLayer):
     """Fully-connected layer with the weight matrix in TT form.
 
     The weights are those of a 1x1 TT convolution over the flattened input's
-    features, whose kernel matrix is the matrix-TT product.  The forward pass
-    runs ``ttm_batch`` on that matrix TT (``cores_ttmatrix`` of its cores: the
-    spatial core absorbed into the first channel core), with the padded input
-    channels of X zero-filled and the padded output channels sliced off Y, so
-    W is never formed; the backward pass reuses the sweep.
+    features.  The forward pass absorbs the spatial core into channel core 1
+    and sweeps the channel cores as they are (``ttmatrix._ttm_sweep``), with
+    the padded input channels of X zero-filled and the padded output channels
+    sliced off Y, so W is never formed; the backward pass reuses the sweep and
+    splits core 1's gradient between the spatial core and channel core 1.
     """
 
     kind = "tt-fc"
@@ -511,26 +509,27 @@ class TTDense(_ProposedTT, _MatrixLayer):
 
     def forward(self, x, train=False):
         self._check_input(x)
-        g0, *cores = self._weights()
-        a = cores_ttmatrix(g0, cores, self.fact)
+        g0, first, *rest = self._weights()
+        chain = [np.tensordot(g0[0, 0], first, axes=(0, 0))[None], *rest]
         cols = x.reshape(x.shape[0], -1)
         if self.fact.pad_c:
             cols = np.pad(cols, ((0, 0), (0, self.fact.pad_c)))
-        y, sweep = ttm_batch(a, cols)
+        y, sweep = _ttm_sweep(chain, cols)
         y = y[:, : self.out_features]
         if self.with_bias:
             y = y + self.params[-1]
-        self._cache = (a, sweep, x.shape) if train else None
+        self._cache = (chain, sweep, x.shape) if train else None
         return y
 
     def backward(self, dy, input_grad=True):
-        a, sweep, in_shape = self._require_cache()
+        chain, sweep, in_shape = self._require_cache()
         self._cache = None
         dy = dy.reshape(dy.shape[0], -1)
-        dx, dmats = ttm_batch_vjp(a, sweep, np.pad(dy, ((0, 0), (0, self.fact.pad_s))), input_grad)
-        g0, *cores = self._weights()
-        dg0, dcores = cores_ttmatrix_grad(g0, cores, self.fact, dmats)
-        self._set_grads([dg0, *dcores], dy)
+        dx, dchain = _ttm_sweep_vjp(chain, sweep, np.pad(dy, ((0, 0), (0, self.fact.pad_s))), input_grad)
+        g0, first = self._weights()[:2]
+        dfirst = dchain[0][0]  # (C1, S1, r2)
+        dg0 = np.tensordot(first, dfirst, axes=3).reshape(g0.shape)
+        self._set_grads([dg0, np.multiply.outer(g0[0, 0], dfirst), *dchain[1:]], dy)
         return dx[:, : self.in_features].reshape(in_shape) if input_grad else None
 
 

@@ -7,11 +7,11 @@ Both digit maps are little-endian (digit 0 varies fastest); within a mode the
 compound slice index is ``row_digit * n_k + col_digit`` (column digit fastest).
 The same pairing convention is reused by the TT-convolution kernels.
 
-Products with A never materialize it: ``ttm_batch`` computes ``X A^T`` for a
-batch of rows by one reshape, one transpose and one GEMM per core, keeping
-the GEMM operands so that ``ttm_batch_vjp`` can return the gradients of X and
-of every core from them; ``ttm_matvec`` is its one-row call, and
-``nn.TTDense`` runs its forward and backward passes through the same two.
+Products with A never materialize it: ``_ttm_sweep`` computes ``X A^T`` for
+a batch of rows by one GEMM per core and keeps the operands for its VJP.  It
+takes cores input digit first, (r_{k-1}, n_k, m_k, r_k), as ``nn.TTDense``'s
+channel cores are; ``ttm_batch`` and ``ttm_batch_vjp`` sweep a ``TTMatrix``'s
+cores viewed in that order, and ``ttm_matvec`` is the one-row call.
 """
 
 from __future__ import annotations
@@ -160,32 +160,61 @@ def ttm_matvec(a: TTMatrix, x) -> np.ndarray:
 def ttm_batch(a: TTMatrix, x):
     """``Y = X A^T`` for the rows of X, shape (B, N), one core at a time.
 
-    Returns Y, shape (B, M), and the sweep: the GEMM operands of every core,
-    which ``ttm_batch_vjp`` reuses.  Before core k the rows of the carried
-    left operand run over (batch, nu_d..nu_{k+1}, mu_{k-1}..mu_1) and its
-    columns over (nu_k, r_{k-1}).  One GEMM with the core as
-    (n_k * r_{k-1}, m_k * r_k) replaces nu_k by mu_k, and one transpose moves
-    mu_k to the front of the row digits and nu_{k+1} into the columns.  Digit
-    1 is fastest on both sides, so after the last core the rows are Y.
+    Returns Y, shape (B, M), and the sweep, which ``ttm_batch_vjp`` reuses.
     """
     x = np.asarray(x, dtype=np.float64)
     n = a.shape[1]
     if x.ndim != 2 or x.shape[1] != n:
         raise ShapeError(f"expected rows of length {n}, got shape {x.shape}")
-    lhs = x.reshape(-1, a.col_factors[0])
-    sweep = []
-    for k, view in enumerate(_output_views(a)):
-        r_in, _, r_out = a.tt.cores[k].shape
-        mk, nk = a.row_factors[k], a.col_factors[k]
-        g = a.tt.cores[k].reshape(r_in, mk, nk, r_out).transpose(2, 0, 1, 3)
-        g = g.reshape(nk * r_in, mk * r_out)
-        sweep.append((lhs, g))
-        lhs = (lhs @ g).reshape(view).transpose(_SWAP).reshape(-1, view[1] * r_out)
-    return lhs.reshape(x.shape[0], a.shape[0]), sweep
+    return _ttm_sweep(_input_first(a), x)
 
 
 def ttm_batch_vjp(a: TTMatrix, sweep, dy, input_grad=True):
-    """Gradients (dX, [dG_k]) of ``sum(dy * Y)`` for ``Y, sweep = ttm_batch(a, X)``.
+    """Gradients (dX, [dG_k]) of ``sum(dy * Y)`` for ``Y, sweep = ttm_batch(a, X)``."""
+    dx, dcores = _ttm_sweep_vjp(_input_first(a), sweep, dy, input_grad)
+    return dx, [g.transpose(0, 2, 1, 3).reshape(c.shape) for g, c in zip(dcores, a.tt.cores)]
+
+
+def _input_first(a: TTMatrix) -> list:
+    """A's cores viewed input digit first, as (r_{k-1}, n_k, m_k, r_k)."""
+    return [
+        core.reshape(core.shape[0], mk, nk, core.shape[2]).transpose(0, 2, 1, 3)
+        for core, mk, nk in zip(a.tt.cores, a.row_factors, a.col_factors)
+    ]
+
+
+# (L, n_{k+1}, prod m_<k, m_k, r_k) <-> (L, m_k, prod m_<k, n_{k+1}, r_k)
+_SWAP = (0, 3, 2, 1, 4)
+
+
+def _ttm_sweep(cores, x):
+    """``Y = X A^T`` for the rows of X, shape (B, N), A the matrix TT of
+    ``cores`` (r_{k-1}, n_k, m_k, r_k).  Returns Y, shape (B, M), and the
+    sweep: the GEMM operands of every core.
+
+    Before core k the rows of the carried left operand run over (batch,
+    nu_d..nu_{k+1}, mu_{k-1}..mu_1) and its columns over (nu_k, r_{k-1}).
+    One GEMM with the core as (n_k * r_{k-1}, m_k * r_k) replaces nu_k by
+    mu_k, and ``_SWAP`` moves mu_k to the front of the row digits and
+    nu_{k+1} into the columns (n_{d+1} = 1).  Digit 1 is fastest on both
+    sides, so after the last core the rows are Y.
+    """
+    lhs = x.reshape(-1, cores[0].shape[1])
+    sweep = []
+    done = 1
+    for k, core in enumerate(cores):
+        r_in, nk, mk, r_out = core.shape
+        n_next = cores[k + 1].shape[1] if k + 1 < len(cores) else 1
+        g = core.transpose(1, 0, 2, 3).reshape(nk * r_in, mk * r_out)
+        sweep.append((lhs, g))
+        lhs = (lhs @ g).reshape(-1, n_next, done, mk, r_out).transpose(_SWAP).reshape(-1, n_next * r_out)
+        done *= mk
+    return lhs.reshape(len(x), done), sweep
+
+
+def _ttm_sweep_vjp(cores, sweep, dy, input_grad=True):
+    """Gradients (dX, [dG_k]) of ``sum(dy * Y)``, dy (B, M), for ``Y, sweep =
+    _ttm_sweep(cores, X)``; dG_k is a view in core k's shape.
 
     Runs the sweep backwards: the carried gradient is brought back to core
     k's output order by the inverse of its transpose (the same axis swap),
@@ -194,32 +223,19 @@ def ttm_batch_vjp(a: TTMatrix, sweep, dy, input_grad=True):
     ``dout @ g^T`` is skipped.
     """
     grad = np.asarray(dy, dtype=np.float64)
-    batch = len(grad)
-    dcores = [None] * len(sweep)
-    for k, view in reversed(list(enumerate(_output_views(a)))):
+    n, done = (math.prod(core.shape[axis] for core in cores) for axis in (1, 2))
+    batch = sweep[0][0].size // n
+    if grad.shape != (batch, done):
+        raise ShapeError(f"expected dy of shape {(batch, done)}, got {grad.shape}")
+    dcores = [None] * len(cores)
+    for k in reversed(range(len(cores))):
         lhs, g = sweep[k]
-        swapped = tuple(view[i] for i in _SWAP)
-        dout = grad.reshape(swapped).transpose(_SWAP).reshape(lhs.shape[0], g.shape[1])
-        r_in, mode, r_out = a.tt.cores[k].shape
-        dg = (lhs.T @ dout).reshape(a.col_factors[k], r_in, a.row_factors[k], r_out)
-        dcores[k] = dg.transpose(1, 2, 0, 3).reshape(r_in, mode, r_out)
+        r_in, nk, mk, r_out = cores[k].shape
+        n_next = cores[k + 1].shape[1] if k + 1 < len(cores) else 1
+        done //= mk
+        dout = grad.reshape(-1, mk, done, n_next, r_out).transpose(_SWAP)
+        dout = dout.reshape(len(lhs), g.shape[1])
+        dcores[k] = (lhs.T @ dout).reshape(nk, r_in, mk, r_out).transpose(1, 0, 2, 3)
         if k or input_grad:
             grad = dout @ g.T
-    return (grad.reshape(batch, a.shape[1]) if input_grad else None), dcores
-
-
-# (L, n_{k+1}, prod m_<k, m_k, r_k) <-> (L, m_k, prod m_<k, n_{k+1}, r_k)
-_SWAP = (0, 3, 2, 1, 4)
-
-
-def _output_views(a: TTMatrix) -> list:
-    """Per core k, the 5-axis view (L, n_{k+1}, prod m_<k, m_k, r_k) of its
-    GEMM output that ``_SWAP`` brings into the next left operand's order;
-    n_{d+1} = 1."""
-    views = []
-    done = 1
-    for k, mk in enumerate(a.row_factors):
-        n_next = a.col_factors[k + 1] if k + 1 < len(a.row_factors) else 1
-        views.append((-1, n_next, done, mk, a.tt.cores[k].shape[2]))
-        done *= mk
-    return views
+    return (grad.reshape(batch, n) if input_grad else None), dcores

@@ -20,7 +20,6 @@ from ttconv.kernels import (
     ttconv_from_dense,
     ttconv_to_dense,
     ttconv_to_ttmatrix,
-    ttconv_to_ttmatrix_grad,
 )
 from ttconv.nn import NaiveTTConv, TTConv, TTDense
 from ttconv.tt import TTTensor, tt_chain, tt_chain_grad, tt_param_count, tt_svd
@@ -502,38 +501,6 @@ class TestOneByOneCoincidence:
         tk = random_ttconv_kernel(3, fact, (2, 2), np.random.default_rng(0))
         with pytest.raises(ShapeError):
             ttconv_to_ttmatrix(tk)
-        with pytest.raises(ShapeError):
-            ttconv_to_ttmatrix_grad(tk, [])
-
-    @pytest.mark.parametrize(
-        "c,s,d,ranks", [(6, 6, 2, (2, 3)), (5, 8, 2, (3, 2)), (12, 9, 1, (3,)), (8, 8, 3, (2, 3, 2))]
-    )
-    def test_grad_matches_finite_differences(self, c, s, d, ranks):
-        # f = sum_k <w_k, core k of ttconv_to_ttmatrix(tk)>; central differences
-        # are exact up to rounding, since f is at most bilinear in each entry
-        rng = np.random.default_rng(11)
-        fact = factorize_channels(c, s, d)
-        tk = random_ttconv_kernel(1, fact, ranks, rng)
-        weights = [rng.standard_normal(g.shape) for g in ttconv_to_ttmatrix(tk).tt.cores]
-
-        def f(g0, cores):
-            a = ttconv_to_ttmatrix(TTConvKernel(1, fact, g0, cores))
-            return sum(float(np.sum(w * g)) for w, g in zip(weights, a.tt.cores))
-
-        dg0, dcores = ttconv_to_ttmatrix_grad(tk, weights)
-        params = [tk.g0.copy(), *(core.copy() for core in tk.cores)]
-        for p, grad in zip(params, [dg0, *dcores]):
-            assert grad.shape == p.shape
-            fd = np.empty(p.shape)
-            for idx in np.ndindex(p.shape):
-                old = p[idx]
-                p[idx] = old + 1e-6
-                hi = f(params[0], params[1:])
-                p[idx] = old - 1e-6
-                lo = f(params[0], params[1:])
-                p[idx] = old
-                fd[idx] = (hi - lo) / 2e-6
-            assert_allclose(grad, fd, rtol=1e-7, atol=1e-7)
 
 
 class TestNaive:

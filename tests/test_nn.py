@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ttconv import kernels, nn
+from ttconv import kernels, nn, ttmatrix
 from ttconv.config import build_network, load_config, load_dataset
 from ttconv.conv import col2im_batch, conv2d_direct, im2col_batch
 from ttconv.errors import ShapeError, SizeError, TrainingDiverged
@@ -675,6 +675,21 @@ class TestTTDenseChain:
         y = layer.forward(rng.standard_normal((2, 256)), train=True)
         dx = layer.backward(rng.standard_normal(y.shape))
         assert y.shape == dx.shape == (2, 256)
+
+    def test_builds_no_tt_tensor(self, monkeypatch):
+        # the layer sweeps its own cores: no matrix TT is built per step
+        layer = TTDense(9, ranks=(2, 3), d=2)
+        layer.build((14,), np.random.default_rng(7))
+
+        def refuse(*args):
+            raise AssertionError("tt-fc built a TTTensor")
+
+        for module in (kernels, ttmatrix):
+            monkeypatch.setattr(module, "TTTensor", refuse)
+        rng = np.random.default_rng(8)
+        y = layer.forward(rng.standard_normal((3, 14)), train=True)
+        dx = layer.backward(rng.standard_normal(y.shape))
+        assert y.shape == (3, 9) and dx.shape == (3, 14)
 
     def test_paper_net_tt_fc_factorization(self):
         assert factorize_channels(14400, 64, 2) == ChannelFactorization((120, 120), (8, 8))

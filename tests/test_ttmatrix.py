@@ -294,3 +294,13 @@ class TestBatch:
         for bad in (np.ones((2, 4)), np.ones(6), np.ones((1, 2, 3))):
             with pytest.raises(ShapeError):
                 ttm_batch(a, bad)
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_dy_shape_mismatch(self, input_grad):
+        # a sweep of B = 2 rows and M = 6: dy of the right size but the wrong
+        # shape is refused, not read as (2, 6)
+        a = all_ones_ttm((2, 3), (2, 2))
+        _, sweep = ttm_batch(a, np.ones((2, 4)))
+        for bad in (np.ones((6, 2)), np.ones((3, 4)), np.ones((1, 12)), np.ones(12), np.ones((2, 5))):
+            with pytest.raises(ShapeError):
+                ttm_batch_vjp(a, sweep, bad, input_grad=input_grad)
