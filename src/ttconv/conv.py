@@ -12,6 +12,10 @@ The batched patch matrix that training runs on (``im2col_batch``) orders its
 columns channels fastest instead, ``(i * l + j) * C + c``: the C-order
 flattening of an ``(l, l, C, S)`` kernel, so ``k.reshape(-1, S)`` is its
 weight matrix and each patch is copied as contiguous runs of C channels.
+With one input channel those runs are single entries, so a convolution
+layer writes a one-channel input's patches with ``_im2col_pixels_fastest``
+instead: the same matrix, stored transposed (F order), which it copies as
+contiguous runs of input pixels; a GEMM reads either orientation.
 
 ``check_kernel`` is the one check that an array is an l x l x C x S kernel,
 for every function of the package that takes a dense kernel.
@@ -107,6 +111,24 @@ def im2col_batch(xb, ell: int, out=None) -> np.ndarray:
     wins = sliding_window_view(xb, (ell, ell), axis=(1, 2))  # (B, W', H', C, i, j)
     out.reshape(b, w - ell + 1, h - ell + 1, ell, ell, c)[...] = wins.transpose(0, 1, 2, 4, 5, 3)
     return out
+
+
+def _im2col_pixels_fastest(xb, ell: int, out) -> np.ndarray:
+    """``im2col_batch(xb, ell)``, written pixel-fastest into ``out``.
+
+    ``out`` is a C-contiguous float64 (l*l*C, B*W'*H') buffer; it receives
+    the transposed patch matrix in one strided copy, and its transpose, an
+    F-ordered (B*W'*H', l*l*C) view equal to ``im2col_batch(xb, ell)``, is
+    returned.  Each copied run is a row of H' input pixels of one channel,
+    against runs of C entries in ``im2col_batch``, so this is the faster
+    writer when C == 1 and the slower one as C grows: 0.19 against 0.56 ms
+    at 128 x 16 x 16 x 1 and l = 3, 0.26 against 0.09 ms at 128 x 6 x 6 x 8,
+    on one core of a 2-vCPU x86 VM.
+    """
+    b, w, h, c = xb.shape
+    wins = sliding_window_view(xb, (ell, ell), axis=(1, 2))  # (B, W', H', C, i, j)
+    out.reshape(ell, ell, c, b, w - ell + 1, h - ell + 1)[...] = wins.transpose(4, 5, 3, 0, 1, 2)
+    return out.T
 
 
 def col2im_batch(dcols, ell: int, in_shape) -> np.ndarray:

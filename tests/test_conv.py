@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ttconv.conv import (
+    _im2col_pixels_fastest,
     col2im_batch,
     conv2d_direct,
     conv2d_gemm,
@@ -242,3 +243,20 @@ class TestIm2colOut:
         ref = (_window_copy(x[None], ell) @ k.reshape(-1, 4)).reshape(y.shape)
         assert np.array_equal(y.view(np.uint64), ref.view(np.uint64))
         assert_allclose(y, conv2d_direct(x, k), rtol=1e-12, atol=1e-12)
+
+
+class TestIm2colPixelsFastest:
+    """The one-channel writer returns ``im2col_batch``'s matrix bitwise, as the
+    F-ordered transpose of the C-contiguous buffer it filled."""
+
+    @pytest.mark.parametrize(
+        "shape, ell",
+        [((3, 16, 16, 1), 3), ((2, 9, 7, 1), 5), ((1, 4, 6, 1), 1), ((2, 5, 4, 3), 2), ((1, 3, 3, 1), 3)],
+    )
+    def test_matches_im2col_batch(self, shape, ell):
+        x = np.random.default_rng(sum(shape) + ell).standard_normal(shape)
+        ref = im2col_batch(x, ell)
+        out = np.full(ref.shape[::-1], np.nan)
+        cols = _im2col_pixels_fastest(x, ell, out)
+        assert cols.base is out and cols.flags.f_contiguous
+        assert np.array_equal(np.ascontiguousarray(cols).view(np.uint64), ref.view(np.uint64))

@@ -1812,3 +1812,85 @@ class TestBatchNormSameBits:
         got += [layer.running_mean, layer.running_var]
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(_bits(a), _bits(b))
+
+
+class TestOneChannelConv:
+    """A conv whose input has one channel builds its patch blocks pixel-fastest
+    (F-ordered).  y, dW and the bias gradient match ``conv2d_direct`` to 1e-12
+    relative, with one kept block, several image blocks and row runs, and a
+    kept block gives the bits a rebuilt one does.  Tolerance, not bits: BLAS
+    may sum a transposed operand in another order (at l = 5, or S = 1)."""
+
+    KINDS = ["dense-conv", "tt-conv", "naive-tt-conv"]
+    SIZE, BATCH = 9, 3
+
+    def _budget(self, blocks, ell):
+        """The block budget of one kept block, two images or two output rows."""
+        wo = self.SIZE - ell + 1
+        row = wo * ell * ell * 8
+        return {"one": nn._BLOCK_BYTES, "images": 2 * wo * row, "rows": 2 * row + 8}[blocks]
+
+    def _run(self, kind, ell, s, x, dy, keep=True):
+        layer = _conv_layer(kind, ell, s)
+        layer.build(x.shape[1:], np.random.default_rng(ell * s))
+        layer.params[-1][...] = np.random.default_rng(s).standard_normal(s)
+        y = layer.forward(x, train=True)
+        if not keep:
+            _drop_kept_block(layer)
+        dx = layer.backward(dy)
+        return layer, [y, dx] + layer.grads
+
+    @pytest.mark.parametrize("blocks", ["one", "images", "rows"])
+    @pytest.mark.parametrize("s", [1, 2, 8])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_direct_convolution(self, kind, ell, s, blocks, monkeypatch):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", self._budget(blocks, ell))
+        rng = np.random.default_rng(100 * ell + s)
+        x = rng.standard_normal((self.BATCH, self.SIZE, self.SIZE, 1))
+        wo = self.SIZE - ell + 1
+        dy = rng.standard_normal((self.BATCH, wo, wo, s))
+        layer, got = self._run(kind, ell, s, x, dy)
+        blocks_made = [cols for _, _, cols in layer._patch_blocks(x)]
+        assert all(cols.flags.f_contiguous for cols in blocks_made)
+        per_image = [len(cols) / (wo * wo) for cols in blocks_made]
+        assert per_image == {"one": [self.BATCH], "images": [2, 1]}.get(blocks, per_image)
+        assert blocks != "rows" or max(per_image) < 1
+        k = layer.weight_matrix().reshape(ell, ell, 1, s)
+        y_ref = np.stack([conv2d_direct(xb, k) for xb in x]) + layer.params[-1]
+        # dW[i, j, 0, :] = sum over pixels of X[b, x+i, y+j] dY[b, x, y, :]:
+        # a valid convolution of each image with its dY as the kernel
+        dw_ref = sum(conv2d_direct(xb, dyb[:, :, None, :]) for xb, dyb in zip(x, dy))
+        grads_ref = layer.weight_grads(dw_ref.reshape(ell * ell, s)) + [dy.sum(axis=(0, 1, 2))]
+        for a, ref in zip([got[0]] + got[2:], [y_ref] + grads_ref, strict=True):
+            assert np.max(np.abs(a - ref.reshape(a.shape))) <= 1e-12 * np.max(np.abs(ref))
+        if blocks == "one":
+            _, rebuilt = self._run(kind, ell, s, x, dy, keep=False)
+            for a, b in zip(got, rebuilt, strict=True):
+                assert np.array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gradcheck(self, kind):
+        net = Network([_conv_layer(kind, 3, 4), ReLU(), MaxPool(), Conv2D(2, 3), Dense(2)])
+        net.build((8, 8, 1), np.random.default_rng(41))
+        x = np.random.default_rng(42).standard_normal((3, 8, 8, 1))
+        for r in gradcheck(net, x, np.array([0, 1, 1])):
+            assert r["ok"], f"{r['kind']}: max rel err {r['max_rel_err']:.2e}"
+
+
+class TestBiasGradBits:
+    """A matrix layer's bias gradient is bitwise ``dy.sum(axis=0)`` over its
+    patch rows, at every output width (einsum for S >= 2 and 256 rows or
+    more, the sum itself otherwise) and for odd and prime row counts."""
+
+    @pytest.mark.parametrize("n", [1, 7, 97, 257, 1024, 25088])
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 10, 16, 64])
+    def test_bias_grad_is_the_row_sum(self, s, n):
+        rng = np.random.default_rng(s * n)
+        layer = Dense(s)
+        layer.build((2,), rng)
+        layer.forward(rng.standard_normal((n, 2)), train=True)
+        # heavy tails over 16 decades, where any change of summation order shows
+        dy = rng.standard_cauchy((n, s)) * 10.0 ** rng.integers(-8, 8, (n, s))
+        layer.backward(dy, input_grad=False)
+        assert np.array_equal(_bits(layer.grads[-1]), _bits(dy.sum(axis=0)))
