@@ -20,8 +20,8 @@ same matrix transposed, written by ``conv._im2col_pixels_fastest``: copied
 channels-fastest its runs would be single entries, copied pixel-fastest they
 are rows of input pixels, and the GEMMs read either orientation.  A conv's
 bias is added over one row per sample, tiled once per output pixel, and a
-bias gradient of two or more outputs over 256 rows or more is summed by
-einsum's in-order row loop: the bits of ``dy.sum(axis=0)``, in less time.
+bias gradient of two or more outputs is summed by einsum's in-order row
+loop: the bits of ``dy.sum(axis=0)``, in less time.
 
 The three TT kinds share one weight, ``_TTWeight``: a chain of 3-D cores,
 viewed per call from the layer's parameters, plus its layout, a
@@ -246,13 +246,11 @@ class _MatrixLayer(Layer):
         for _, rows, cols in self._patch_blocks(x):
             np.matmul(cols, w, out=y_rows[rows])
         if self.with_bias:
-            # a conv adds over one long row per sample, the bias tiled once per
-            # output pixel: the sums of broadcasting S entries per pixel, in
-            # fewer loops (0.11 instead of 0.21 ms at 128 x 14 x 14 x 8); with
-            # one pixel per sample the tile would cost more than it saves
+            # added over one long row per sample, the bias tiled once per output
+            # pixel: the sums of broadcasting S entries per pixel, in fewer
+            # loops (0.11 instead of 0.21 ms at 128 x 14 x 14 x 8)
             y_samples = y.reshape(len(y), -1)
-            pixels = y_samples.shape[1] // w.shape[1]
-            y_samples += np.tile(self.params[-1], pixels) if pixels > 1 else self.params[-1]
+            y_samples += np.tile(self.params[-1], y_samples.shape[1] // w.shape[1])
         # a block of every patch row is the whole batch's: backward reuses it
         self._cache = (x, w, cols if len(cols) == len(y_rows) else None) if train else None
         return y
@@ -295,10 +293,9 @@ class _MatrixLayer(Layer):
         if self.with_bias:
             # einsum adds the rows in order, as dy.sum(axis=0) does for S >= 2:
             # the same bits without numpy's short reduce loop, 0.11 instead of
-            # 0.44 ms at 25088 x 8, but a few us slower below ~256 rows.  At
-            # S == 1 the sum runs along memory and is pairwise: other bits.
-            rows, s = dy.shape
-            self.grads[-1][...] = np.einsum("ns->s", dy) if s > 1 and rows >= 256 else dy.sum(axis=0)
+            # 0.44 ms at 25088 x 8.  At S == 1 the sum runs along memory and is
+            # pairwise: other bits.
+            self.grads[-1][...] = np.einsum("ns->s", dy) if dy.shape[1] > 1 else dy.sum(axis=0)
 
     @property
     def dense_param_count(self):

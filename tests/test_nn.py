@@ -1880,8 +1880,8 @@ class TestOneChannelConv:
 
 class TestBiasGradBits:
     """A matrix layer's bias gradient is bitwise ``dy.sum(axis=0)`` over its
-    patch rows, at every output width (einsum for S >= 2 and 256 rows or
-    more, the sum itself otherwise) and for odd and prime row counts."""
+    patch rows, at every output width (einsum for S >= 2, the sum itself at
+    S == 1) and for odd and prime row counts."""
 
     @pytest.mark.parametrize("n", [1, 7, 97, 257, 1024, 25088])
     @pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 10, 16, 64])
