@@ -122,6 +122,8 @@ def cmd_reconstruct(args):
 def cmd_gradcheck(args):
     if not args.h > 0:
         raise ValueError(f"--h must be positive, got {args.h}")
+    if not 0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     if args.batch < 1:
         raise ValueError(f"--batch must be at least 1, got {args.batch}")
     if args.seed is not None and args.seed < 0:

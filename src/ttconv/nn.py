@@ -71,6 +71,7 @@ drops it once the first layer returns.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -889,7 +890,7 @@ class Network:
         for layer in self.layers[: lowest + 1]:
             layer._cache = None
 
-    # -- flat parameter/gradient views (gradcheck, reporting) ----------------
+    # -- the parametrized layers, and all their parameters as one vector ------
 
     def parameter_blocks(self):
         return [(idx, layer) for idx, layer in enumerate(self.layers) if layer.params]
@@ -899,17 +900,14 @@ class Network:
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
     def set_params(self, flat):
+        """Write ``flat``, in ``get_params``'s layout, after checking its length."""
+        if flat.size != self.param_count:
+            raise ShapeError(f"parameter vector length {flat.size}, expected {self.param_count}")
         offset = 0
         for _, layer in self.parameter_blocks():
             for p in layer.params:
                 p[...] = flat[offset : offset + p.size].reshape(p.shape)
                 offset += p.size
-        if offset != flat.size:
-            raise ShapeError(f"parameter vector length {flat.size}, expected {offset}")
-
-    def get_grads(self):
-        chunks = [g.ravel() for _, layer in self.parameter_blocks() for g in layer.grads]
-        return np.concatenate(chunks) if chunks else np.zeros(0)
 
     @property
     def param_count(self):
@@ -928,8 +926,11 @@ class SGDMomentum:
     """Classical momentum: v <- m*v - lr*g; p <- p + v.
 
     The learning rate is divided by ``decay_factor`` after every
-    ``decay_every`` epochs.  Frozen layers are skipped entirely, leaving their
-    parameters bitwise unchanged.
+    ``decay_every`` epochs.  A layer's velocities are held, weakly keyed by
+    the layer, next to the ``params`` list they were made for; they start at
+    zero for a layer not stepped before and for one rebuilt since (``build``
+    registers a new list).  Frozen layers are skipped, parameters bitwise
+    unchanged, and keep their velocities.
     """
 
     def __init__(self, lr, momentum=0.9, decay_every=None, decay_factor=10.0):
@@ -940,22 +941,21 @@ class SGDMomentum:
         self.momentum = momentum
         self.decay_every = decay_every
         self.decay_factor = decay_factor
-        self._velocity = {}
+        self._velocity = weakref.WeakKeyDictionary()  # layer -> (params, velocities)
 
     def set_epoch(self, epoch):
         if self.decay_every:
             self.lr = self.initial_lr / self.decay_factor ** (epoch // self.decay_every)
 
     def step(self, net: Network):
-        for idx, layer in net.parameter_blocks():
+        for _, layer in net.parameter_blocks():
             if layer.frozen:
                 continue
-            for j, (p, g) in enumerate(zip(layer.params, layer.grads)):
-                key = (idx, j)
-                v = self._velocity.get(key)
-                if v is None:
-                    v = np.zeros_like(p)
-                    self._velocity[key] = v
+            params, velocity = self._velocity.get(layer, (None, None))
+            if params is not layer.params:
+                velocity = [np.zeros_like(p) for p in layer.params]
+                self._velocity[layer] = (layer.params, velocity)
+            for p, g, v in zip(layer.params, layer.grads, velocity):
                 v *= self.momentum
                 v -= self.lr * g
                 p += v
@@ -964,13 +964,16 @@ class SGDMomentum:
 def gradcheck(net: Network, x, targets, h=1e-6, tol=1e-5, corrupt=False):
     """Central-difference check of every parameter gradient, per layer.
 
-    Entries with analytic gradient below 1e-8 in magnitude are compared
-    absolutely.  ``corrupt`` deliberately offsets one analytic gradient entry
-    (a negative control: the report must flag it).  Returns a list of dicts
-    with keys layer, kind, params, max_rel_err, ok; a non-finite error makes
-    its row's max_rel_err non-finite and ok False; a network without
-    parameters gives an empty list without a forward pass.  Batch-norm running
-    statistics, which every training-mode forward moves, are restored on exit.
+    Each entry is perturbed in place, to its value plus and minus h, and
+    written back once its two losses are taken, so the parameters end
+    bitwise as they began.  Entries with analytic gradient below 1e-8 in
+    magnitude are compared absolutely.  ``corrupt`` deliberately offsets one
+    analytic gradient entry (a negative control: the report must flag it).
+    Returns a list of dicts with keys layer, kind, params, max_rel_err, ok; a
+    non-finite error makes its row's max_rel_err non-finite and ok False; a
+    network without parameters gives an empty list without a forward pass.
+    Batch-norm running statistics, which every training-mode forward moves,
+    are restored on exit.
     """
     if not net.parameter_blocks():
         return []
@@ -989,49 +992,40 @@ def _gradcheck(net, x, targets, h, tol, corrupt):
     x = np.asarray(x, dtype=np.float64)
     net.forward_loss(x, targets, train=True)
     net.backward()
-    analytic = net.get_grads()
-    if corrupt and analytic.size:
-        analytic = analytic.copy()
-        analytic[0] += 1.0
+    blocks = net.parameter_blocks()
+    analytic = [[g.copy() for g in layer.grads] for _, layer in blocks]
+    if corrupt:
+        analytic[0][0].flat[0] += 1.0
 
-    base = net.get_params()
-    flat = base.copy()
-
-    def loss_at(vec):
-        net.set_params(vec)
-        _, loss = net.forward_loss(x, targets, train=True)
-        return loss
+    def loss():
+        return net.forward_loss(x, targets, train=True)[1]
 
     report = []
-    offset = 0
-    for idx, layer in net.parameter_blocks():
+    for (idx, layer), grads in zip(blocks, analytic):
         errs = []
-        count = sum(p.size for p in layer.params)
-        for i in range(offset, offset + count):
-            flat[i] = base[i] + h
-            fp = loss_at(flat)
-            flat[i] = base[i] - h
-            fm = loss_at(flat)
-            flat[i] = base[i]
-            fd = (fp - fm) / (2 * h)
-            a = analytic[i]
-            if abs(a) < 1e-8:
-                err = abs(fd - a)
-            else:
-                err = abs(fd - a) / abs(a)
-            errs.append(err)
-        offset += count
+        for p, g in zip(layer.params, grads):
+            for i in range(p.size):
+                base = p.flat[i]
+                try:
+                    p.flat[i] = base + h
+                    fp = loss()
+                    p.flat[i] = base - h
+                    fm = loss()
+                finally:
+                    p.flat[i] = base
+                fd = (fp - fm) / (2 * h)
+                a = g.flat[i]
+                errs.append(abs(fd - a) if abs(a) < 1e-8 else abs(fd - a) / abs(a))
         worst = float(np.max(errs))  # unlike max(), np.max keeps a NaN
         report.append(
             {
                 "layer": idx,
                 "kind": layer.kind,
-                "params": count,
+                "params": layer.param_count,
                 "max_rel_err": worst,
                 "ok": worst <= tol,
             }
         )
-    net.set_params(base)
     return report
 
 

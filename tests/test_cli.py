@@ -323,9 +323,11 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("flag,value", [("--h", "0"), ("--h", "-0.5"), ("--h", "nan"),
                                             ("--batch", "0"), ("--batch", "-3"),
-                                            ("--seed", "-1")])
+                                            ("--seed", "-1"), ("--tol", "inf"), ("--tol", "0"),
+                                            ("--tol", "-1"), ("--tol", "nan")])
     def test_bad_step_or_batch_exit_2(self, tmp_path, capsys, flag, value):
-        # --h 0 made every row pass; --batch -3 checked all but the last 3 images
+        # --h 0 made every row pass; --batch -3 checked all but the last 3 images;
+        # --tol inf passed a corrupted gradient, and 0, -1 or nan failed every row
         cfg = write_config(tmp_path, TOY_CONFIG)
         code, out, err = run(capsys, "gradcheck", cfg, flag, value)
         assert code == 2

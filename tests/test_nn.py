@@ -1,16 +1,19 @@
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ttconv import kernels, nn, ttmatrix
-from ttconv.config import build_network, load_config, load_dataset
+from ttconv import config, kernels, nn, ttmatrix
+from ttconv.config import ConfigError, build_network, load_config, load_dataset
 from ttconv.conv import col2im_batch, conv2d_direct, im2col_batch
 from ttconv.errors import ShapeError, SizeError, TrainingDiverged
 from ttconv.io import FormatError
@@ -381,10 +384,10 @@ class TestSGD:
         opt = SGDMomentum(lr=0.1, momentum=0.9)
         net.layers[0].grads[0][...] = g
         opt.step(net)  # v1 = -0.1 g
+        p1 = net.get_params()
         net.layers[0].grads[0][...] = g
         opt.step(net)  # v2 = 0.9*v1 - 0.1 g = -0.19 g
-        v2 = opt._velocity[(0, 0)]
-        assert_allclose(v2, -0.19 * g, rtol=1e-14)
+        assert_allclose(net.get_params() - p1, -0.19 * g.ravel(), rtol=1e-14)
         assert_allclose(net.get_params(), p0 - 0.29 * g.ravel(), rtol=1e-13)
 
     @pytest.mark.parametrize("lr", [-0.1, float("nan")])
@@ -418,6 +421,76 @@ class TestSGD:
             opt.step(net)
         for p, b in zip(net.layers[0].params, before):
             assert np.array_equal(p, b)
+
+    @staticmethod
+    def _fill_grads(net, rng):
+        for _, layer in net.parameter_blocks():
+            for g in layer.grads:
+                g[...] = rng.standard_normal(g.shape)
+
+    def test_rebuilt_net_steps_from_zero_velocity(self):
+        # a wider input re-registers every parameter: the first step after it
+        # moves each one by exactly -lr*g, whatever velocity it had before
+        net = Network([Dense(3), ReLU(), Dense(2)])
+        net.build((4,), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        opt = SGDMomentum(lr=0.1)
+        self._fill_grads(net, rng)
+        opt.step(net)
+        net.build((5,), np.random.default_rng(2))
+        self._fill_grads(net, rng)
+        before = [p.copy() for _, layer in net.parameter_blocks() for p in layer.params]
+        opt.step(net)
+        moved = [(p, g) for _, layer in net.parameter_blocks() for p, g in zip(layer.params, layer.grads)]
+        for b, (p, g) in zip(before, moved):
+            assert np.array_equal(p, b - 0.1 * g)
+
+    def test_swapped_in_layer_inherits_no_velocity(self):
+        net = Network([Dense(3), ReLU(), Dense(2)])
+        net.build((4,), np.random.default_rng(0))
+        opt = SGDMomentum(lr=0.1)
+        self._fill_grads(net, np.random.default_rng(1))
+        opt.step(net)
+        fresh = Dense(2)
+        fresh.build((3,), np.random.default_rng(3))
+        net.layers[2] = fresh
+        before = [p.copy() for p in fresh.params]
+        opt.step(net)  # the fresh layer's gradients are zero
+        for p, b in zip(fresh.params, before):
+            assert np.array_equal(p, b)
+
+    def test_frozen_layer_keeps_its_velocity(self):
+        net = Network([Dense(3), ReLU(), Dense(2)])
+        net.build((4,), np.random.default_rng(0))
+        layer = net.layers[0]
+        rng = np.random.default_rng(1)
+        opt = SGDMomentum(lr=0.1, momentum=0.5)
+        self._fill_grads(net, rng)
+        before = [p.copy() for p in layer.params]
+        opt.step(net)
+        v1 = [p - b for p, b in zip(layer.params, before)]
+        layer.frozen = True
+        frozen = [p.copy() for p in layer.params]
+        for _ in range(3):
+            self._fill_grads(net, rng)
+            opt.step(net)
+            for p, f in zip(layer.params, frozen):
+                assert np.array_equal(p, f)
+        layer.frozen = False
+        for g in layer.grads:
+            g[...] = 0.0
+        opt.step(net)  # thawed with zero gradient: moves by momentum * v1
+        for p, f, v in zip(layer.params, frozen, v1):
+            assert_allclose(p - f, 0.5 * v, rtol=1e-12)
+
+    def test_velocity_does_not_keep_a_dropped_layer_alive(self):
+        net = Network([Dense(2)])
+        net.build((3,), np.random.default_rng(0))
+        opt = SGDMomentum(lr=0.1)
+        opt.step(net)
+        ref = weakref.ref(net.layers[0])
+        del net
+        assert ref() is None
 
 
 def tiny_dataset(rng, n_train=64, n_test=32):
@@ -768,6 +841,71 @@ class TestGradcheckSideEffects:
         assert all(r["ok"] for r in report)
         assert np.array_equal(norm.running_mean, mean)
         assert np.array_equal(norm.running_var, var)
+
+
+def _flat_vector_gradcheck(net, x, targets, h=1e-6, corrupt=False):
+    """Each parametrized layer's max_rel_err by the flat-vector central
+    difference: every loss is taken after writing the whole perturbed
+    parameter vector through ``set_params``."""
+    net.forward_loss(x, targets, train=True)
+    net.backward()
+    analytic = np.concatenate([g.ravel() for _, layer in net.parameter_blocks() for g in layer.grads])
+    if corrupt:
+        analytic[0] += 1.0
+    base = net.get_params()
+    flat = base.copy()
+
+    def loss_at(vec):
+        net.set_params(vec)
+        return net.forward_loss(x, targets, train=True)[1]
+
+    worst, offset = [], 0
+    for _, layer in net.parameter_blocks():
+        errs = []
+        for i in range(offset, offset + layer.param_count):
+            flat[i] = base[i] + h
+            fp = loss_at(flat)
+            flat[i] = base[i] - h
+            fm = loss_at(flat)
+            flat[i] = base[i]
+            fd, a = (fp - fm) / (2 * h), analytic[i]
+            errs.append(abs(fd - a) if abs(a) < 1e-8 else abs(fd - a) / abs(a))
+        offset += layer.param_count
+        worst.append(float(np.max(errs)))
+    net.set_params(base)
+    return worst
+
+
+class TestGradcheckOracle:
+    """``gradcheck`` perturbs one entry in place; its errors are those of the
+    flat-vector reference bit for bit, and it leaves every parameter and
+    batch-norm's running statistics bitwise as they were."""
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_rows_match_the_flat_vector_reference(self, corrupt):
+        net = small_mixed_net()
+        net.build((12, 12, 2), np.random.default_rng(7))
+        x, y = mixed_batch(np.random.default_rng(3), n=2)
+        norm = net.layers[2]
+        norm.running_mean = np.random.default_rng(8).standard_normal(4)
+        before = [net.get_params(), norm.running_mean.copy(), norm.running_var.copy()]
+        report = gradcheck(net, x, y, corrupt=corrupt)
+        after = [net.get_params(), norm.running_mean, norm.running_var]
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(after, before))
+        reference = _flat_vector_gradcheck(net, x, y, corrupt=corrupt)
+        assert [r["max_rel_err"] for r in report] == reference
+        assert [r["ok"] for r in report] == [not corrupt or i > 0 for i in range(len(report))]
+
+
+class TestSetParams:
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_wrong_length_writes_nothing(self, extra):
+        net = Network([Dense(3), ReLU(), Dense(2)])
+        net.build((4,), np.random.default_rng(0))
+        before = net.get_params()
+        with pytest.raises(ShapeError, match=f"length {before.size + extra}, expected {before.size}"):
+            net.set_params(np.zeros(before.size + extra))
+        assert np.array_equal(net.get_params(), before)
 
 
 class TestForwardInputShape:
@@ -1894,3 +2032,80 @@ class TestBiasGradBits:
         dy = rng.standard_cauchy((n, s)) * 10.0 ** rng.integers(-8, 8, (n, s))
         layer.backward(dy, input_grad=False)
         assert np.array_equal(_bits(layer.grads[-1]), _bits(dy.sum(axis=0)))
+
+
+@st.composite
+def layer_specs(draw):
+    """A config layer line of any kind, with small sizes, ranks and depths."""
+    kind = draw(st.sampled_from(sorted(config._LAYERS)))
+    _, n_sizes, least, options = config._LAYERS[kind]
+    tokens = [kind] + [str(draw(st.integers(least, 4))) for _ in range(n_sizes)]
+    if "ranks" in options:
+        ranks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        tokens.append("ranks=" + ",".join(map(str, ranks)))
+    if "d" in options and draw(st.booleans()):
+        tokens.append(f"d={draw(st.integers(1, 3))}")
+    if "nobias" in options and draw(st.booleans()):
+        tokens.append("nobias")
+    return " ".join(tokens)
+
+
+def _builds(net, in_shape):
+    """Build the net; False when it refuses the shape, naming the layer that does."""
+    try:
+        net.build(in_shape, np.random.default_rng(0))
+    except (ShapeError, ConfigError) as e:
+        named = re.match(r"layer (\d+) \((\S+)\): ", str(e))
+        assert named, str(e)
+        assert net.layers[int(named[1])].kind == named[2]
+        return False
+    return True
+
+
+def _forward_backward(net, x):
+    """y of a training forward pass and the input gradient of a fixed dy."""
+    y = net.forward(x, train=True)
+    dx = np.random.default_rng(1).standard_normal(y.shape)
+    for layer in reversed(net.layers):
+        dx = layer.backward(dx)
+    return y, dx
+
+
+class TestWholeNetwork:
+    """Random stacks of 1-4 config layers on small inputs: they build or name
+    the layer that refuses the shape; a sample's eval output does not depend
+    on its batch; y and dx do not depend on the patch block size beyond
+    rounding; and one optimizer steps the net before and after a rebuild on
+    other channels."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        specs=st.lists(layer_specs(), min_size=1, max_size=4),
+        w=st.integers(3, 9),
+        h=st.integers(3, 9),
+        c=st.integers(1, 5),
+    )
+    def test_properties(self, specs, w, h, c):
+        net = build_network({"layers": specs})
+        if not _builds(net, (w, h, c)):
+            return
+        x = np.random.default_rng(2).standard_normal((3, w, h, c))
+        y = net.forward(x)
+        for i in range(len(x)):
+            assert_allclose(net.forward(x[i : i + 1]), y[i : i + 1], rtol=1e-12, atol=1e-12 * np.abs(y).max())
+
+        y, dx = _forward_backward(net, x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "_BLOCK_BYTES", 1)
+            y1, dx1 = _forward_backward(net, x)
+        # not bitwise: OpenBLAS sums an entry of a small GEMM in an order that
+        # depends on the GEMM's row count, which the block size sets
+        for got, ref in [(y1, y), (dx1, dx)]:
+            assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+        opt = SGDMomentum(lr=0.01)
+        opt.step(net)
+        c = c % 5 + 1
+        if _builds(net, (w, h, c)):
+            _forward_backward(net, np.random.default_rng(3).standard_normal((3, w, h, c)))
+            opt.step(net)
